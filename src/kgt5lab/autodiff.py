@@ -18,7 +18,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import _kernels
 from .embeddings import cosine_sim
 
 RMS_EPS = 1e-12
@@ -65,24 +64,29 @@ class Tensor:
 
 
 class Node:
-    __slots__ = ("op", "out", "inputs", "backward_fn", "tape")
+    __slots__ = ("op", "inputs", "backward_fn")
 
-    def __init__(self, op: str, out: Tensor, inputs: tuple[Tensor, ...],
-                 backward_fn: Callable[[np.ndarray], None], tape: "Tape"):
+    def __init__(self, op: str, inputs: tuple[Tensor, ...],
+                 backward_fn: Callable[[np.ndarray], None]):
         self.op = op
-        self.out = out
         self.inputs = inputs
         self.backward_fn = backward_fn
-        self.tape = tape
 
 
 class Tape:
-    """Append-only operation record; one forward+backward per instance."""
+    """Append-only operation record; one forward+backward per instance.
 
-    __slots__ = ("nodes",)
+    ``outs[i]`` is the output of ``nodes[i]``.  Nothing points back from a
+    node to its output or to the tape, so the recorded graph holds no
+    reference cycles and is freed by reference counting once the step drops
+    it, without work for Python's cyclic garbage collector.
+    """
+
+    __slots__ = ("nodes", "outs")
 
     def __init__(self):
         self.nodes: list[Node] = []
+        self.outs: list[Tensor] = []
 
     def __enter__(self) -> "Tape":
         global _ACTIVE
@@ -100,10 +104,6 @@ class Tape:
 _ACTIVE: Optional[Tape] = None
 
 
-def active_tape() -> Optional[Tape]:
-    return _ACTIVE
-
-
 def _record(op: str, out: Tensor, inputs: tuple[Tensor, ...],
             backward_fn: Callable[[np.ndarray], None]) -> Tensor:
     tape = _ACTIVE
@@ -111,9 +111,10 @@ def _record(op: str, out: Tensor, inputs: tuple[Tensor, ...],
         for t in inputs:
             if t.requires_grad:
                 out.requires_grad = True
-                node = Node(op, out, inputs, backward_fn, tape)
+                node = Node(op, inputs, backward_fn)
                 out.node = node
                 tape.nodes.append(node)
+                tape.outs.append(out)
                 break
     return out
 
@@ -142,16 +143,16 @@ def backward(tape: Tape, root: Tensor) -> None:
     """
     if root.data.ndim != 0:
         raise NotScalarRootError(f"root has shape {root.data.shape}")
-    if root.node is None or root.node.tape is not tape:
+    if root.node is None or root.node not in tape.nodes:
         raise DetachedRootError("root was not recorded on this tape")
-    for node in tape.nodes:
-        node.out.grad = None
+    for node, out in zip(tape.nodes, tape.outs):
+        out.grad = None
         for t in node.inputs:
             t.grad = None
     root.grad = np.ones_like(root.data)
-    for node in reversed(tape.nodes):
-        if node.out.grad is not None:  # None: no path to the root, gradient 0
-            node.backward_fn(node.out.grad)
+    for node, out in zip(reversed(tape.nodes), reversed(tape.outs)):
+        if out.grad is not None:  # None: no path to the root, gradient 0
+            node.backward_fn(out.grad)
     for node in tape.nodes:
         for t in node.inputs:
             if t.requires_grad and t.grad is None:
@@ -266,7 +267,7 @@ def gather_rows(m: Tensor, ids) -> Tensor:
         if m.requires_grad:
             if m.grad is None:
                 m.grad = np.zeros_like(m.data)
-            _kernels.scatter_add_rows(m.grad, idx, np.ascontiguousarray(g))
+            np.add.at(m.grad, idx, g)
 
     return _record("gather_rows", out, (m,), bwd)
 

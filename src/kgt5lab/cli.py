@@ -14,7 +14,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import __version__, _kernels
+from . import __version__
 from . import data as data_mod
 from . import embeddings as emb_mod
 from . import harness, kg as kg_mod, trainer
@@ -79,7 +79,6 @@ def _write_simple_manifest(out: Path, command: str, args: argparse.Namespace) ->
         "command": command,
         "args": {k: v for k, v in vars(args).items() if k != "func"},
         "tool_version": __version__,
-        "kernel_backend": _kernels.BACKEND,
     }
     harness.save_manifest(manifest, out / "manifest.json")
 
@@ -200,7 +199,7 @@ def cmd_eval(args) -> int:
     graph, params, vocab, dataset, table, _ = _load_finetune_inputs(args)
     stats = harness.evaluate_split(params, vocab, graph, table, dataset,
                                    args.variant)
-    report = harness._report_from(args.variant, 1.0, args.seed, stats, [])
+    report = harness.report_from(args.variant, 1.0, args.seed, stats, [])
     out = _out_dir(args)
     harness.emit_report([report], "csv", out / "metrics.csv")
     _write_simple_manifest(out, "eval", args)
@@ -265,10 +264,15 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out_required=True):
+    def common(p):
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", required=out_required, help="output directory")
+        p.add_argument("--out", required=True, help="output directory")
+
+    def experiment(p):
+        p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--config", default=None, help="JSON experiment overrides")
+        p.add_argument("--seeds", required=True, help="e.g. 1,2,3 or 1..5")
+        p.add_argument("--lambda", dest="sim_weight", type=float, default=None)
 
     p = sub.add_parser("gen-kg", help="generate a seeded synthetic KG and corpus")
     common(p)
@@ -331,29 +335,23 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("ablate", help="run the KG-input ablation")
-    common(p)
-    p.add_argument("--seeds", required=True, help="e.g. 1,2,3 or 1..5")
-    p.add_argument("--lambda", dest="sim_weight", type=float, default=None)
+    experiment(p)
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("scale-sweep", help="run the KG-size sweep")
-    common(p)
-    p.add_argument("--seeds", required=True)
+    experiment(p)
     p.add_argument("--fractions", required=True, help="e.g. 0.25,0.5,1.0")
-    p.add_argument("--lambda", dest="sim_weight", type=float, default=None)
     p.set_defaults(func=cmd_scale_sweep)
 
     p = sub.add_parser("ingest-squad", help="validate a SQuAD v1.1 JSON file")
-    common(p, out_required=False)
     p.add_argument("--path", required=True)
+    p.add_argument("--out", default=None, help="output directory")
     p.set_defaults(func=cmd_ingest_squad)
 
     p = sub.add_parser("report", help="re-render a metrics CSV")
     p.add_argument("--metrics", required=True)
     p.add_argument("--format", choices=("csv", "markdown"), default="markdown")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_report)
 
     return parser

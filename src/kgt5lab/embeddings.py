@@ -3,8 +3,7 @@
 Triples (h, r, t) are scored by ``||v_h + e_r - v_t||_2`` (lower is more
 plausible) and trained with a margin-ranking hinge against uniformly
 corrupted negatives, plain SGD, entity rows renormalized to unit L2 norm
-after each epoch.  The per-epoch inner loop runs on the selected kernel
-backend (see ``_kernels``).
+after each epoch.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .kg import KnowledgeGraph, Triple
 
 MAX_UINT64 = 2**64 - 1
@@ -115,12 +113,59 @@ def transe_score(emb: EmbeddingTable, t: Triple) -> float:
     return float(np.linalg.norm(diff))
 
 
+def _transe_epoch(ent, rel, heads, rels, tails, order, neg_sides, neg_entities,
+                  margin, lr, batch_size) -> float:
+    """Run one shuffled epoch of hinge-loss SGD in place; returns the summed loss.
+
+    ``order`` is the visiting permutation; ``neg_sides``/``neg_entities`` are
+    [T, K] arrays aligned to positions in ``order`` (side 0 corrupts the
+    head, 1 the tail).  Each active pair contributes a full lr-scaled
+    subgradient; updates are accumulated within a batch and applied at its end.
+    """
+    n = order.shape[0]
+    k = neg_sides.shape[1]
+    tiny = 1e-12
+    loss_sum = 0.0
+    for b0 in range(0, n, batch_size):
+        idx = order[b0:b0 + batch_size]
+        b = idx.shape[0]
+        h, r, t = heads[idx], rels[idx], tails[idx]
+        pos_diff = ent[h] + rel[r] - ent[t]
+        d_pos = np.sqrt(np.sum(pos_diff * pos_diff, axis=1))
+        u_pos = pos_diff / np.maximum(d_pos, tiny)[:, None]
+        g_ent = np.zeros_like(ent)
+        g_rel = np.zeros_like(rel)
+        for kk in range(k):
+            side = neg_sides[b0:b0 + b, kk]
+            corrupt = neg_entities[b0:b0 + b, kk]
+            h_neg = np.where(side == 0, corrupt, h)
+            t_neg = np.where(side == 0, t, corrupt)
+            neg_diff = ent[h_neg] + rel[r] - ent[t_neg]
+            d_neg = np.sqrt(np.sum(neg_diff * neg_diff, axis=1))
+            hinge = margin + d_pos - d_neg
+            active = hinge > 0.0
+            if not np.any(active):
+                continue
+            loss_sum += float(np.sum(hinge[active]))
+            u_neg = neg_diff / np.maximum(d_neg, tiny)[:, None]
+            up = u_pos[active]
+            un = u_neg[active]
+            np.add.at(g_ent, h[active], up)
+            np.add.at(g_rel, r[active], up - un)
+            np.add.at(g_ent, t[active], -up)
+            np.add.at(g_ent, h_neg[active], -un)
+            np.add.at(g_ent, t_neg[active], un)
+        ent -= lr * g_ent
+        rel -= lr * g_rel
+    return loss_sum
+
+
 def train_kg_embeddings(g: KnowledgeGraph, cfg: TransEConfig,
                         d: int) -> tuple[EmbeddingTable, list[float]]:
     """Margin-ranking SGD with uniform head/tail corruption.
 
     Returns the trained table and one mean-hinge entry per epoch.  Fully
-    deterministic in ``cfg.seed`` for a fixed kernel backend.
+    deterministic in ``cfg.seed``.
     """
     if len(g.triples) == 0:
         raise EmptyGraphError("graph has no triples")
@@ -136,7 +181,7 @@ def train_kg_embeddings(g: KnowledgeGraph, cfg: TransEConfig,
         order = rng.permutation(n).astype(np.int64)
         sides = rng.integers(0, 2, size=(n, k), dtype=np.int64)
         corrupts = rng.integers(0, g.n_entities, size=(n, k), dtype=np.int64)
-        loss_sum = _kernels.transe_epoch(
+        loss_sum = _transe_epoch(
             emb.entity_vecs, emb.relation_vecs, heads, rels, tails,
             order, sides, corrupts, cfg.margin, cfg.learning_rate, cfg.batch_size)
         norms = np.linalg.norm(emb.entity_vecs, axis=1, keepdims=True)

@@ -5,7 +5,7 @@ the train/test split and the KG embeddings; they differ only in which KG
 rows enter the encoder and in the similarity pathway.  The scale sweep
 re-trains KG embeddings per subgraph while the test set stays fixed, so
 fractions are compared on identical denominators.  Runs are reproducible
-bit-exactly from their manifest in sequential mode (per kernel backend).
+bit-exactly from their manifest in sequential mode.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import statistics
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
-from . import __version__, _kernels
+from . import __version__
 from .data import (CATEGORIES, QAExample, SyntheticKGSpec, gen_qa,
                    gen_synthetic_kg, split)
 from .embeddings import EmbeddingTable, TransEConfig, train_kg_embeddings
@@ -93,9 +93,9 @@ def evaluate_split(params: ModelParams, vocab: Vocabulary, kg: KnowledgeGraph,
     return {c: (m, n) for c, (m, n) in stats.items()}
 
 
-def _report_from(variant: str, fraction: float, seed: int,
-                 stats: dict[str, tuple[int, int]],
-                 trace: list[tuple[int, float, float, float]]) -> MetricsReport:
+def report_from(variant: str, fraction: float, seed: int,
+                stats: dict[str, tuple[int, int]],
+                trace: list[tuple[int, float, float, float]]) -> MetricsReport:
     def em(cat):
         m, n = stats[cat]
         return m / n if n else 0.0
@@ -132,7 +132,7 @@ def run_ablation(kg: KnowledgeGraph, corpus: Sequence[str],
                 replace(exp.finetune, seed=seed), vocab)
             stats = evaluate_split(params, vocab, kg, emb_v, test_set, variant,
                                    exp.decode_steps)
-            reports.append(_report_from(variant, 1.0, seed, stats, trace))
+            reports.append(report_from(variant, 1.0, seed, stats, trace))
     return reports
 
 
@@ -168,7 +168,7 @@ def run_scale_sweep(kg: KnowledgeGraph, corpus: Sequence[str],
                 replace(exp.finetune, seed=seed), vocab)
             stats = evaluate_split(params, vocab, sub, emb_v, test_set, "both",
                                    exp.decode_steps)
-            reports.append(_report_from("both", fraction, seed, stats, trace))
+            reports.append(report_from("both", fraction, seed, stats, trace))
     return reports
 
 
@@ -306,7 +306,6 @@ def make_manifest(experiment: str, exp: ExperimentConfig, seeds: Sequence[int],
         "seeds": list(seeds),
         "fractions": list(fractions) if fractions is not None else None,
         "tool_version": __version__,
-        "kernel_backend": _kernels.BACKEND,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "argv": list(argv) if argv is not None else None,
     }
@@ -314,7 +313,7 @@ def make_manifest(experiment: str, exp: ExperimentConfig, seeds: Sequence[int],
 
 def run_from_manifest(manifest: dict) -> list[MetricsReport]:
     """Re-run the experiment a manifest describes; sequential mode
-    reproduces every metrics row bit-exactly on the same kernel backend."""
+    reproduces every metrics row bit-exactly."""
     exp = experiment_from_jsonable(manifest["config"])
     kg, corpus, dataset = build_world(exp)
     if manifest["experiment"] == "ablation":

@@ -416,13 +416,6 @@ def _ffn(params: ModelParams, prefix: str, x: Tensor) -> Tensor:
     return matmul(gelu(matmul(x, params[f"{prefix}.w1"])), params[f"{prefix}.w2"])
 
 
-def _mask_to_additive(mask: np.ndarray, n_rows: int) -> Optional[Tensor]:
-    if np.all(mask > 0):
-        return None
-    cols = np.where(mask > 0, 0.0, NEG_INF)
-    return Tensor(np.broadcast_to(cols, (n_rows, mask.shape[0])).copy())
-
-
 def encode(params: ModelParams, enc_input: EncoderInput, rng,
            train: bool) -> Tensor:
     cfg = params.config

@@ -17,7 +17,6 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from . import _kernels
 from .autodiff import (Tape, Tensor, add, backward, cross_entropy_mean,
                        cosine_similarity, gather_rows, reshape, scalar_mul,
                        ShapeMismatchError)
@@ -135,8 +134,9 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
               sparse: Optional[dict[str, tuple[np.ndarray, np.ndarray]]] = None) -> None:
     """One Adam step in place, with optional row-sparse entries.
 
-    ``sparse`` maps a parameter name to (row ids, gradient rows); only those
-    rows' moments and values are updated.  Global-norm clipping (if set)
+    ``sparse`` maps a parameter name to (unique row ids, gradient rows); only
+    those rows' moments and values are updated, by the same formula as the
+    dense tensors.  Global-norm clipping (if set)
     covers dense and sparse gradients together and happens before the moment
     updates.  Decoupled weight decay multiplies the post-update parameters.
     """
@@ -158,20 +158,24 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
     state.t += 1
     bc1 = 1.0 - state.beta1**state.t
     bc2 = 1.0 - state.beta2**state.t
+
+    def update(p, g, m, v):
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * (g * g)
+        p -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        if cfg.weight_decay != 0.0:
+            p -= cfg.learning_rate * cfg.weight_decay * p
+
     for name in sorted(grads):
-        p = params[name].data
-        _kernels.adam_update(p.reshape(-1), grads[name].reshape(-1),
-                             state.m[name].reshape(-1), state.v[name].reshape(-1),
-                             cfg.learning_rate, state.beta1, state.beta2,
-                             bc1, bc2, state.eps, cfg.weight_decay)
+        update(params[name].data, grads[name], state.m[name], state.v[name])
     for name in sorted(sparse):
         ids, rows = sparse[name]
         p, m, v = params[name].data, state.m[name], state.v[name]
-        m[ids] = state.beta1 * m[ids] + (1.0 - state.beta1) * rows
-        v[ids] = state.beta2 * v[ids] + (1.0 - state.beta2) * (rows * rows)
-        p[ids] -= cfg.learning_rate * (m[ids] / bc1) / (np.sqrt(v[ids] / bc2) + state.eps)
-        if cfg.weight_decay != 0.0:
-            p[ids] -= cfg.learning_rate * cfg.weight_decay * p[ids]
+        p_rows, m_rows, v_rows = p[ids], m[ids], v[ids]
+        update(p_rows, rows, m_rows, v_rows)
+        p[ids], m[ids], v[ids] = p_rows, m_rows, v_rows
 
 
 def _batches(n_examples: int, batch_size: int, max_steps: int,

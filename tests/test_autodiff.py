@@ -1,5 +1,6 @@
 """Reverse-mode autodiff tests: worked examples, gradient checks, invariants."""
 
+import gc
 import math
 
 import numpy as np
@@ -162,6 +163,25 @@ class TestBackward:
             y2 = reduce_sum(x)
         with pytest.raises(DetachedRootError):
             backward(tape, y2)
+
+    def test_recorded_graph_has_no_reference_cycles(self):
+        # a dropped step graph is freed by reference counting alone
+        w = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+
+        def step():
+            with Tape() as tape:
+                h = gelu(matmul(Tensor(np.ones((4, 2))), w))
+                y = reduce_mean(mul(h, h))
+            backward(tape, y)
+
+        gc.collect()
+        gc.disable()
+        try:
+            step()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert w.grad is not None
 
     def test_fanout_accumulates_by_sum(self):
         x = Tensor([1.0, 2.0], requires_grad=True)

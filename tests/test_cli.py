@@ -42,6 +42,13 @@ class TestUsageErrors:
     def test_missing_required_flag(self):
         assert main(["gen-qa", "--out", "somewhere"]) == 1
 
+    def test_config_rejected_where_unread(self, tmp_path):
+        # finetune never read --config; it must refuse it, not ignore the file
+        assert main(["finetune", "--checkpoint", "m.ckpt", "--qa", "qa.jsonl",
+                     "--kg", "kg.tsv", "--config", write_config(tmp_path),
+                     "--out", str(tmp_path / "ft")]) == 1
+        assert not (tmp_path / "ft").exists()
+
 
 class TestGenPipeline:
     def test_gen_kg_writes_outputs(self, tmp_path, capsys):

@@ -135,6 +135,22 @@ class TestTrainKgEmbeddings:
         assert np.array_equal(a.relation_vecs, b.relation_vecs)
         assert ta == tb
 
+    def test_self_loop_triples(self):
+        # a self-loop's head and tail share one row, so its gradient rows
+        # land on the same entity twice in a batch
+        named = [(f"e{i}", "same_as", f"e{i}") for i in range(6)]
+        named += [(f"e{i}", "next", f"e{(i + 1) % 6}") for i in range(6)]
+        g, _ = from_named_triples(named)
+        cfg = TransEConfig(epochs=5, seed=4, batch_size=4, negatives_per_positive=2)
+        a, ta = train_kg_embeddings(g, cfg, d=8)
+        b, tb = train_kg_embeddings(g, cfg, d=8)
+        assert all(math.isfinite(x) for x in ta)
+        norms = np.linalg.norm(a.entity_vecs, axis=1)
+        assert np.all(np.abs(norms - 1.0) < 1e-9)
+        assert ta == tb
+        assert np.array_equal(a.entity_vecs, b.entity_vecs)
+        assert np.array_equal(a.relation_vecs, b.relation_vecs)
+
     def test_entity_rows_unit_norm_after_training(self):
         g = chain_graph(20)
         emb, _ = train_kg_embeddings(g, TransEConfig(epochs=3, seed=1), d=8)

@@ -160,11 +160,10 @@ class TestManifest:
         b = run_from_manifest(manifest)
         assert a == b
 
-    def test_manifest_records_backend_and_version(self):
-        from kgt5lab import __version__, _kernels
+    def test_manifest_records_version(self):
+        from kgt5lab import __version__
         manifest = make_manifest("ablation", tiny_experiment(), seeds=[1])
         assert manifest["tool_version"] == __version__
-        assert manifest["kernel_backend"] == _kernels.BACKEND
 
 
 class TestSharedArtifactsWithinSeed:

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from kgt5lab.autodiff import cross_entropy_mean, grad_check
+from kgt5lab.autodiff import Tensor, concat_rows, cross_entropy_mean, grad_check
 from kgt5lab.embeddings import EmbeddingTable
 from kgt5lab.model import (AugmentedInput, BOS_ID, EOS_ID, EmptyCorpusError,
-                           FIRST_REGULAR_ID, MissingBOSError, ModelConfig,
-                           ModelParams, N_SENTINELS, SEP_ID, TooLongError,
-                           TooManySpansError, UNK_ID, Vocabulary,
+                           EncoderInput, FIRST_REGULAR_ID, MissingBOSError,
+                           ModelConfig, ModelParams, N_SENTINELS, SEP_ID,
+                           TooLongError, TooManySpansError, UNK_ID, Vocabulary,
                            build_augmented_input, build_vocab,
                            corrupt_with_spans, forward, greedy_decode,
                            span_corrupt, tokenize)
@@ -259,6 +259,18 @@ class TestForward:
                                               train_mode=False, seed=0), target)
         err = grad_check(f, params["enc0.attn.wq"])
         assert err < 1e-5
+
+    def test_masked_row_is_ignored(self):
+        # a junk row with mask 0 must not change any logit
+        cfg, params, emb = tiny_setup()
+        enc = build_augmented_input(AugmentedInput([40, 41, 42], [1], [0], "both"),
+                                    emb, params)
+        junk = Tensor(np.full((1, cfg.d_model), 7.0))
+        padded = EncoderInput(rows=concat_rows([enc.rows, junk]), n_text=enc.n_text,
+                              mask=np.append(enc.mask, 0.0))
+        a = forward(params, enc, [BOS_ID, 43, 44], train_mode=False, seed=0).data
+        b = forward(params, padded, [BOS_ID, 43, 44], train_mode=False, seed=0).data
+        assert np.allclose(a, b, rtol=0.0, atol=1e-12)
 
     def test_augmentation_identity_full_model(self):
         # variant=none must be bit-identical to a build with no KG machinery

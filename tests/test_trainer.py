@@ -169,6 +169,22 @@ class TestAdamStep:
         assert state.m["a"][0] == pytest.approx(0.1 * 3.0 / 5.0)
         assert state.m["b"][1] == pytest.approx(0.1 * 4.0 / 5.0)
 
+    def test_sparse_update_of_every_row_equals_dense(self):
+        rng = np.random.default_rng(23)
+        init = rng.normal(size=(5, 3))
+        dense = {"w": Tensor(init.copy(), requires_grad=True)}
+        sparse = {"w": Tensor(init.copy(), requires_grad=True)}
+        s_dense, s_sparse = AdamState.init(dense), AdamState.init(sparse)
+        cfg = TrainConfig(learning_rate=1e-2, weight_decay=0.01, grad_clip_norm=1.0)
+        ids = np.arange(5, dtype=np.int64)
+        for _ in range(10):
+            g = rng.normal(size=(5, 3))
+            adam_step(dense, {"w": g}, s_dense, cfg)
+            adam_step(sparse, {}, s_sparse, cfg, sparse={"w": (ids, g)})
+        assert np.array_equal(dense["w"].data, sparse["w"].data)
+        assert np.array_equal(s_dense.m["w"], s_sparse.m["w"])
+        assert np.array_equal(s_dense.v["w"], s_sparse.v["w"])
+
 
 def params_digest(params, names=None):
     h = hashlib.sha256()
