@@ -4,7 +4,9 @@ Entities and relation types are interned to dense integer ids in
 first-appearance order.  Names are normalized (NFC + lowercase) before
 interning, so case-variant surface forms share one id.  Graphs are frozen
 after construction and safe to share across threads; every operation here is
-a pure function of its inputs.
+a pure function of its inputs.  The one lazily filled field, the mention
+index, depends only on the entity names, so two threads racing to fill it
+store equal values.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ class KnowledgeGraph:
     """Interned entities/relations plus a duplicate-free ordered triple set."""
 
     __slots__ = ("entity_names", "relation_names", "triples",
-                 "_entity_index", "_relation_index", "_adjacency")
+                 "_entity_index", "_relation_index", "_adjacency", "_mentions")
 
     def __init__(self, entity_names: Sequence[str], relation_names: Sequence[str],
                  triples: Sequence[Triple]):
@@ -78,6 +80,7 @@ class KnowledgeGraph:
                 raise ValueError(f"triple {t} references unknown ids")
             adj[t.head].append((t.relation, t.tail))
         self._adjacency = tuple(tuple(edges) for edges in adj)
+        self._mentions = None  # built by the first link_mentions call
 
     @property
     def n_entities(self) -> int:
@@ -203,6 +206,18 @@ def neighbors(g: KnowledgeGraph, e: EntityId) -> list[tuple[RelationId, EntityId
     return list(g._adjacency[e])
 
 
+def _mention_index(entity_names: Sequence[str]
+                   ) -> dict[str, tuple[tuple[tuple[str, ...], EntityId], ...]]:
+    """First token -> (name tokens, entity id) candidates, longest first."""
+    by_first: dict[str, list[tuple[tuple[str, ...], EntityId]]] = {}
+    for eid, name in enumerate(entity_names):
+        parts = tuple(name.split())
+        if parts:
+            by_first.setdefault(parts[0], []).append((parts, eid))
+    return {first: tuple(sorted(cands, key=lambda c: -len(c[0])))
+            for first, cands in by_first.items()}
+
+
 def link_mentions(g: KnowledgeGraph, tokens: Sequence[str]) -> tuple[list[EntityId], list[RelationId]]:
     """Link entity surface forms occurring in ``tokens`` (already normalized).
 
@@ -210,14 +225,9 @@ def link_mentions(g: KnowledgeGraph, tokens: Sequence[str]) -> tuple[list[Entity
     consumed by at most one mention.  Relations are the deduplicated outgoing
     relations of the linked entities, in first-discovery order.
     """
-    by_first: dict[str, list[tuple[tuple[str, ...], EntityId]]] = {}
-    for eid, name in enumerate(g.entity_names):
-        parts = tuple(name.split())
-        if parts:
-            by_first.setdefault(parts[0], []).append((parts, eid))
-    for cands in by_first.values():
-        cands.sort(key=lambda c: -len(c[0]))
-
+    by_first = g._mentions
+    if by_first is None:
+        by_first = g._mentions = _mention_index(g.entity_names)
     entities: list[EntityId] = []
     seen_ent: set[EntityId] = set()
     i = 0

@@ -400,13 +400,19 @@ def _mask_to_additive(mask: np.ndarray, n_rows: int) -> Optional[np.ndarray]:
     return np.broadcast_to(cols, (n_rows, mask.shape[0])).copy()
 
 
-def _attention(params: ModelParams, prefix: str, x_q: Tensor, x_kv: Tensor,
+def _project_kv(params: ModelParams, prefix: str, x: Tensor) -> tuple[Tensor, Tensor]:
+    return matmul(x, params[f"{prefix}.wk"]), matmul(x, params[f"{prefix}.wv"])
+
+
+def _attention(params: ModelParams, prefix: str, x_q: Tensor,
+               kv: Optional[tuple[Tensor, Tensor]],
                bias_table: Optional[Tensor], bias_idx: Optional[np.ndarray],
                mask: Optional[np.ndarray], rng, train: bool) -> Tensor:
+    """Attention of ``x_q`` over precomputed (keys, values) ``kv``, or over
+    ``x_q`` itself (self-attention) when ``kv`` is None."""
     cfg = params.config
     q = matmul(x_q, params[f"{prefix}.wq"])
-    k = matmul(x_kv, params[f"{prefix}.wk"])
-    v = matmul(x_kv, params[f"{prefix}.wv"])
+    k, v = _project_kv(params, prefix, x_q) if kv is None else kv
     core = attention_core(q, k, v, cfg.n_heads, bias_table, bias_idx, mask,
                           cfg.dropout_p, rng, train)
     return matmul(core, params[f"{prefix}.wo"])
@@ -425,12 +431,49 @@ def encode(params: ModelParams, enc_input: EncoderInput, rng,
     x = dropout(enc_input.rows, cfg.dropout_p, rng, train)
     for i in range(cfg.n_layers):
         norm_x = rms_norm(x, params[f"enc{i}.ln1"])
-        a = _attention(params, f"enc{i}.attn", norm_x, norm_x,
+        a = _attention(params, f"enc{i}.attn", norm_x, None,
                        params["enc_rel_bias"], bias_idx, mask, rng, train)
         x = add(x, dropout(a, cfg.dropout_p, rng, train))
         f = _ffn(params, f"enc{i}.ffn", rms_norm(x, params[f"enc{i}.ln2"]))
         x = add(x, dropout(f, cfg.dropout_p, rng, train))
     return rms_norm(x, params["enc_norm"])
+
+
+def _cross_kv(params: ModelParams, enc_out: Tensor) -> list[tuple[Tensor, Tensor]]:
+    """Per decoder layer, the cross-attention keys and values of ``enc_out``."""
+    return [_project_kv(params, f"dec{i}.cross", enc_out)
+            for i in range(params.config.n_layers)]
+
+
+def _decode_stack(params: ModelParams, decoder_ids: Sequence[int],
+                  cross_kv: list[tuple[Tensor, Tensor]], enc_mask: np.ndarray,
+                  rng, train: bool) -> Tensor:
+    """Logits [len(decoder_ids), vocab] of the decoder stack over the whole
+    prefix, attending to the encoder through each layer's ``cross_kv``."""
+    cfg = params.config
+    t = len(decoder_ids)
+    cross_mask = _mask_to_additive(enc_mask, t)
+    dec_bias_idx = _bias_idx(t, t, cfg.max_len)
+    causal = _causal_mask(t)
+    y = dropout(gather_rows(params["tok_emb"], list(decoder_ids)),
+                cfg.dropout_p, rng, train)
+    for i, kv in enumerate(cross_kv):
+        norm_y = rms_norm(y, params[f"dec{i}.ln1"])
+        a = _attention(params, f"dec{i}.self", norm_y, None,
+                       params["dec_rel_bias"], dec_bias_idx, causal, rng, train)
+        y = add(y, dropout(a, cfg.dropout_p, rng, train))
+        c = _attention(params, f"dec{i}.cross", rms_norm(y, params[f"dec{i}.ln2"]),
+                       kv, None, None, cross_mask, rng, train)
+        y = add(y, dropout(c, cfg.dropout_p, rng, train))
+        f = _ffn(params, f"dec{i}.ffn", rms_norm(y, params[f"dec{i}.ln3"]))
+        y = add(y, dropout(f, cfg.dropout_p, rng, train))
+    return matmul(rms_norm(y, params["dec_norm"]), params["out_proj"])
+
+
+def _check_encoder_length(params: ModelParams, enc_input: EncoderInput) -> None:
+    if enc_input.length > params.config.max_len:
+        raise TooLongError(f"encoder length {enc_input.length} > max_len "
+                           f"{params.config.max_len}")
 
 
 def forward(params: ModelParams, enc_input: EncoderInput,
@@ -442,26 +485,11 @@ def forward(params: ModelParams, enc_input: EncoderInput,
     t = len(decoder_ids)
     if t > cfg.max_len:
         raise TooLongError(f"decoder length {t} > max_len {cfg.max_len}")
-    if enc_input.length > cfg.max_len:
-        raise TooLongError(f"encoder length {enc_input.length} > max_len {cfg.max_len}")
+    _check_encoder_length(params, enc_input)
     rng = np.random.default_rng(seed_seq(seed, "dropout"))
     enc_out = encode(params, enc_input, rng, train_mode)
-    cross_mask = _mask_to_additive(enc_input.mask, t)
-    dec_bias_idx = _bias_idx(t, t, cfg.max_len)
-    causal = _causal_mask(t)
-    y = dropout(gather_rows(params["tok_emb"], list(decoder_ids)),
-                cfg.dropout_p, rng, train_mode)
-    for i in range(cfg.n_layers):
-        norm_y = rms_norm(y, params[f"dec{i}.ln1"])
-        a = _attention(params, f"dec{i}.self", norm_y, norm_y,
-                       params["dec_rel_bias"], dec_bias_idx, causal, rng, train_mode)
-        y = add(y, dropout(a, cfg.dropout_p, rng, train_mode))
-        c = _attention(params, f"dec{i}.cross", rms_norm(y, params[f"dec{i}.ln2"]),
-                       enc_out, None, None, cross_mask, rng, train_mode)
-        y = add(y, dropout(c, cfg.dropout_p, rng, train_mode))
-        f = _ffn(params, f"dec{i}.ffn", rms_norm(y, params[f"dec{i}.ln3"]))
-        y = add(y, dropout(f, cfg.dropout_p, rng, train_mode))
-    return matmul(rms_norm(y, params["dec_norm"]), params["out_proj"])
+    return _decode_stack(params, decoder_ids, _cross_kv(params, enc_out),
+                         enc_input.mask, rng, train_mode)
 
 
 def greedy_decode(params: ModelParams, enc_input: EncoderInput,
@@ -469,14 +497,21 @@ def greedy_decode(params: ModelParams, enc_input: EncoderInput,
     """Argmax decoding from BOS; stops at EOS or max_steps.
 
     Returns the generated ids without BOS/EOS.  Ties resolve to the lowest
-    token id.
+    token id.  The question is encoded, and each layer's cross-attention
+    keys and values projected, once; every step re-runs only the decoder
+    stack over the whole prefix.  Each step's logits equal, bit for bit,
+    those of ``forward`` in eval mode: a single-row matmul is not bit-equal
+    to the same row of a multi-row one, so the prefix is not cached.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
+    _check_encoder_length(params, enc_input)
+    enc_out = encode(params, enc_input, None, False)
+    cross_kv = _cross_kv(params, enc_out)
     ids = [BOS_ID]
     out: list[int] = []
     for _ in range(max_steps):
-        logits = forward(params, enc_input, ids, train_mode=False, seed=0)
+        logits = _decode_stack(params, ids, cross_kv, enc_input.mask, None, False)
         nxt = int(np.argmax(logits.data[-1]))
         if nxt == EOS_ID:
             break

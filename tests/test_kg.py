@@ -208,3 +208,21 @@ class TestLinkMentions:
         ents, rels = link_mentions(g, ["a", "b"])
         assert ents == [g.entity_id("a"), g.entity_id("b")]
         assert rels == [g.relation_id("r"), g.relation_id("s"), g.relation_id("t")]
+
+    def test_repeated_calls_and_graphs_with_the_same_names_agree(self):
+        named = [("new york", "r", "x"), ("york", "s", "y"), ("x", "t", "york")]
+        tokens = "from new york to york and x".split()
+        g, _ = from_named_triples(named)
+        first = link_mentions(g, tokens)
+        assert first == ([g.entity_id("new york"), g.entity_id("york"),
+                          g.entity_id("x")],
+                         [g.relation_id("r"), g.relation_id("s"), g.relation_id("t")])
+        assert link_mentions(g, tokens) == first
+        assert link_mentions(g, ["york"]) == ([g.entity_id("york")],
+                                              [g.relation_id("s")])
+        twin, _ = from_named_triples(named)
+        assert link_mentions(twin, tokens) == first
+        other, _ = from_named_triples([("to", "r", "and")])
+        assert link_mentions(other, tokens) == ([other.entity_id("to"),
+                                                 other.entity_id("and")],
+                                                [other.relation_id("r")])

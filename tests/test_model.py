@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from kgt5lab import model
 from kgt5lab.autodiff import Tensor, concat_rows, cross_entropy_mean, grad_check
 from kgt5lab.embeddings import EmbeddingTable
 from kgt5lab.model import (AugmentedInput, BOS_ID, EOS_ID, EmptyCorpusError,
@@ -292,6 +293,22 @@ class TestForward:
         assert np.array_equal(la, lb)
 
 
+def reference_decode(params, enc, max_steps):
+    """Greedy decoding as one full ``forward`` per emitted token; returns the
+    ids and each step's last-row logits."""
+    ids, rows = [BOS_ID], []
+    for _ in range(max_steps):
+        row = forward(params, enc, ids, train_mode=False, seed=0).data[-1]
+        rows.append(row)
+        nxt = int(np.argmax(row))
+        if nxt == EOS_ID:
+            break
+        ids.append(nxt)
+        if len(ids) >= params.config.max_len:
+            break
+    return ids[1:], rows
+
+
 class TestGreedyDecode:
     def test_deterministic(self):
         cfg, params, emb = tiny_setup()
@@ -322,6 +339,73 @@ class TestGreedyDecode:
                                     emb, params)
         out = greedy_decode(params, enc, 3)
         assert out == [0, 0, 0]  # PAD is the lowest id
+
+    def check(self, monkeypatch, params, enc, max_steps):
+        """Decoding encodes once and re-runs only the decoder stack; its ids
+        and every step's logits must equal those of one forward per token."""
+        ref_out, ref_rows = reference_decode(params, enc, max_steps)
+        rows = []
+        stack = model._decode_stack
+
+        def recording(*args):
+            logits = stack(*args)
+            rows.append(logits.data[-1].copy())
+            return logits
+
+        monkeypatch.setattr(model, "_decode_stack", recording)
+        out = greedy_decode(params, enc, max_steps)
+        assert out == ref_out
+        assert len(rows) == len(ref_rows)
+        for step, (a, b) in enumerate(zip(rows, ref_rows)):
+            assert np.array_equal(a, b), step
+        return out
+
+    @pytest.mark.parametrize("variant", ["none", "both"])
+    def test_variants(self, monkeypatch, variant):
+        cfg, params, emb = tiny_setup()
+        enc = build_augmented_input(AugmentedInput([40, 41, 42], [1, 2], [0], variant),
+                                    emb, params)
+        assert len(self.check(monkeypatch, params, enc, 8)) == 8
+
+    def test_masked_encoder_row(self, monkeypatch):
+        cfg, params, emb = tiny_setup(seed=1)
+        enc = build_augmented_input(AugmentedInput([43, 44], [1], [0], "both"),
+                                    emb, params)
+        junk = Tensor(np.full((1, cfg.d_model), 7.0))
+        padded = EncoderInput(rows=concat_rows([enc.rows, junk]), n_text=enc.n_text,
+                              mask=np.append(enc.mask, 0.0))
+        self.check(monkeypatch, params, padded, 6)
+
+    def test_stops_at_eos(self, monkeypatch):
+        cfg, params, emb = tiny_setup(seed=2)
+        enc = build_augmented_input(AugmentedInput([40, 41, 42], [1, 2], [0], "both"),
+                                    emb, params)
+        out = self.check(monkeypatch, params, enc, 8)
+        assert 0 < len(out) < 8  # EOS won the argmax after some tokens
+
+    def test_too_long_encoder_input_raises_before_encoding(self, monkeypatch):
+        cfg, params, emb = tiny_setup()
+        enc = EncoderInput(rows=Tensor(np.zeros((cfg.max_len + 1, cfg.d_model))),
+                           n_text=cfg.max_len + 1, mask=np.ones(cfg.max_len + 1))
+
+        def no_encode(*args):
+            raise AssertionError("encoder ran on an over-long input")
+
+        monkeypatch.setattr(model, "encode", no_encode)
+        with pytest.raises(TooLongError):
+            greedy_decode(params, enc, 4)
+
+    def test_builds_no_random_generator(self, monkeypatch):
+        cfg, params, emb = tiny_setup()
+        enc = build_augmented_input(AugmentedInput([40, 41], [1], [0], "both"),
+                                    emb, params)
+        expected = greedy_decode(params, enc, 4)
+
+        def no_rng(*args, **kwargs):
+            raise AssertionError("eval decoding built a random generator")
+
+        monkeypatch.setattr(model.np.random, "default_rng", no_rng)
+        assert greedy_decode(params, enc, 4) == expected
 
 
 class TestFullModelGradCheck:
