@@ -15,6 +15,7 @@ import numpy as np
 from .kg import KnowledgeGraph, Triple
 
 MAX_UINT64 = 2**64 - 1
+LINK_PREDICTION_BLOCK = 16  # triples ranked per matmul in link_prediction_eval
 
 
 class EmptyGraphError(ValueError):
@@ -113,6 +114,14 @@ def transe_score(emb: EmbeddingTable, t: Triple) -> float:
     return float(np.linalg.norm(diff))
 
 
+def _triple_arrays(g: KnowledgeGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The graph's heads, relations and tails as int64 arrays in triple order."""
+    heads = np.array([t.head for t in g.triples], dtype=np.int64)
+    rels = np.array([t.relation for t in g.triples], dtype=np.int64)
+    tails = np.array([t.tail for t in g.triples], dtype=np.int64)
+    return heads, rels, tails
+
+
 def _transe_epoch(ent, rel, heads, rels, tails, order, neg_sides, neg_entities,
                   margin, lr, batch_size) -> float:
     """Run one shuffled epoch of hinge-loss SGD in place; returns the summed loss.
@@ -170,9 +179,7 @@ def train_kg_embeddings(g: KnowledgeGraph, cfg: TransEConfig,
     if len(g.triples) == 0:
         raise EmptyGraphError("graph has no triples")
     emb = init_embeddings(g, d, cfg.seed, cfg.init_scale)
-    heads = np.array([t.head for t in g.triples], dtype=np.int64)
-    rels = np.array([t.relation for t in g.triples], dtype=np.int64)
-    tails = np.array([t.tail for t in g.triples], dtype=np.int64)
+    heads, rels, tails = _triple_arrays(g)
     n = len(g.triples)
     k = cfg.negatives_per_positive
     rng = np.random.default_rng(seed_seq(cfg.seed, "transe-train"))
@@ -201,24 +208,68 @@ def cosine_sim(v: np.ndarray, e: np.ndarray) -> float:
     return float(np.dot(v, e) / (nv * ne))
 
 
+def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise ``sum((a - b)**2)``, the squared distance ranking compares."""
+    diff = a - b
+    return np.sum(diff * diff, axis=1)
+
+
 def link_prediction_eval(emb: EmbeddingTable, g: KnowledgeGraph,
                          k: int) -> tuple[float, float]:
     """Raw tail ranking over all entities; returns (hits@k, mean rank).
 
-    Ties are broken by entity id ascending.
+    A triple's rank is 1 plus the number of entities whose distance
+    ``sqrt(sum((x - e)**2))`` to ``x = v_h + e_r`` is below the true tail's;
+    ties are broken by entity id ascending.
+
+    Triples are ranked ``LINK_PREDICTION_BLOCK`` at a time.  One matmul per
+    block screens every entity by ``||x||^2 - 2 x.e + ||e||^2``.  Whatever
+    order the BLAS sums in, the screen and the exactly computed
+    ``sum((x - e)**2)`` differ by at most ``(4d + 9) u (||x||^2 + ||e||^2)``
+    with ``u = eps / 2``, well inside ``tol = 4 (d + 2) eps (||x||^2 +
+    ||e||^2)``; ``tol`` also gets the smallest normal double added, because
+    errors in underflowed products are absolute, not relative.  An entity
+    screened below the true tail's exact squared distance by more than
+    ``tol`` is therefore closer, and one screened above it by more than
+    ``tol`` is farther, by a gap that still separates the rounded square
+    roots.  Only the entities inside that band (the true tail, exact ties
+    and near-ties) are re-scored with the exact formula and the id
+    tie-break, so every rank equals a per-triple scan's, bit for bit.
     """
     if len(g.triples) == 0:
         raise EmptyGraphError("graph has no triples")
-    ent = emb.entity_vecs
-    ranks = np.empty(len(g.triples), dtype=np.float64)
-    for i, t in enumerate(g.triples):
-        target = ent[t.head] + emb.relation_vecs[t.relation]
-        diffs = target[None, :] - ent
-        dists = np.sqrt(np.sum(diffs * diffs, axis=1))
-        s_true = dists[t.tail]
-        better = int(np.sum(dists < s_true))
-        tied_before = int(np.sum((dists == s_true)[:t.tail]))
-        ranks[i] = 1 + better + tied_before
+    ent, rel = emb.entity_vecs, emb.relation_vecs
+    if ent.shape[0] != g.n_entities or rel.shape[0] != g.n_relations:
+        raise UnknownIdError(
+            f"table has {ent.shape[0]} entity and {rel.shape[0]} relation rows, "
+            f"graph has {g.n_entities} entities and {g.n_relations} relations")
+    heads, rels, tails = _triple_arrays(g)
+    ent_sq = np.sum(ent * ent, axis=1)
+    tol_scale = 4 * (emb.dim + 2) * np.finfo(np.float64).eps
+    tiny = np.finfo(np.float64).tiny
+    ranks = np.empty(len(tails), dtype=np.float64)
+    for b0 in range(0, len(tails), LINK_PREDICTION_BLOCK):
+        block = slice(b0, b0 + LINK_PREDICTION_BLOCK)
+        x = ent[heads[block]] + rel[rels[block]]
+        tail = tails[block]
+        true_sq = _sq_dists(x, ent[tail])
+        x_sq = np.sum(x * x, axis=1)
+        # screened minus true squared distance, [block, |V|]
+        margin = x @ ent.T
+        margin *= -2.0
+        margin += x_sq[:, None]
+        margin += ent_sq
+        margin -= true_sq[:, None]
+        tol = x_sq[:, None] + ent_sq
+        tol *= tol_scale
+        tol += tiny
+        closer = np.count_nonzero(margin < -tol, axis=1)
+        # NaN or inf margins land in the band and are re-scored exactly
+        row, col = np.nonzero(~(np.abs(margin) > tol))
+        dists = np.sqrt(_sq_dists(x[row], ent[col]))
+        s_true = np.sqrt(true_sq)[row]
+        wins = (dists < s_true) | ((dists == s_true) & (col < tail[row]))
+        ranks[block] = 1 + closer + np.bincount(row[wins], minlength=len(tail))
     hits = float(np.mean(ranks <= k))
     return hits, float(np.mean(ranks))
 

@@ -5,13 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from kgt5lab.embeddings import (EmbeddingTable, EmptyGraphError, FormatError,
-                                TransEConfig, UnknownIdError, ZeroVectorError,
-                                cosine_sim, init_embeddings,
-                                link_prediction_eval, load_embeddings,
-                                save_embeddings, train_kg_embeddings,
-                                transe_score)
-from kgt5lab.kg import KnowledgeGraph, Triple, from_named_triples
+from kgt5lab.embeddings import (LINK_PREDICTION_BLOCK, EmbeddingTable,
+                                EmptyGraphError, FormatError, TransEConfig,
+                                UnknownIdError, ZeroVectorError, cosine_sim,
+                                init_embeddings, link_prediction_eval,
+                                load_embeddings, save_embeddings,
+                                train_kg_embeddings, transe_score)
+from kgt5lab.kg import (KnowledgeGraph, Triple, from_named_triples,
+                        subgraph_fraction)
 
 
 def chain_graph(n_entities=50, n_relations=2):
@@ -163,11 +164,7 @@ class TestTrainKgEmbeddings:
             train_kg_embeddings(g, TransEConfig(), d=4)
 
     def test_trained_beats_random_on_seeded_kg(self):
-        from kgt5lab.data import SyntheticKGSpec, gen_synthetic_kg
-        spec = SyntheticKGSpec(n_people=30, n_cities=8, n_countries=4,
-                               occupations=tuple("abcdefgh"), seed=0)
-        g, _ = gen_synthetic_kg(spec)
-        assert g.n_entities == 50
+        g = seeded_kg_50()
         wins = 0
         for seed in range(5):
             cfg = TransEConfig(epochs=100, learning_rate=0.05, batch_size=32,
@@ -178,6 +175,15 @@ class TestTrainKgEmbeddings:
             hits_init, _ = link_prediction_eval(init, g, k=10)
             wins += int(hits_trained > hits_init)
         assert wins >= 4
+
+
+def seeded_kg_50():
+    from kgt5lab.data import SyntheticKGSpec, gen_synthetic_kg
+    spec = SyntheticKGSpec(n_people=30, n_cities=8, n_countries=4,
+                           occupations=tuple("abcdefgh"), seed=0)
+    g, _ = gen_synthetic_kg(spec)
+    assert g.n_entities == 50
+    return g
 
 
 def margin_loss(vecs, margin):
@@ -229,7 +235,93 @@ class TestMarginLossGradient:
             checked += 1
 
 
+def reference_link_prediction(emb, g, k):
+    """The per-triple scan that link_prediction_eval replaced, as the reference."""
+    ent = emb.entity_vecs
+    ranks = np.empty(len(g.triples), dtype=np.float64)
+    for i, t in enumerate(g.triples):
+        target = ent[t.head] + emb.relation_vecs[t.relation]
+        diffs = target[None, :] - ent
+        dists = np.sqrt(np.sum(diffs * diffs, axis=1))
+        s_true = dists[t.tail]
+        better = int(np.sum(dists < s_true))
+        tied_before = int(np.sum((dists == s_true)[:t.tail]))
+        ranks[i] = 1 + better + tied_before
+    hits = float(np.mean(ranks <= k))
+    return hits, float(np.mean(ranks))
+
+
+def random_graph(rng, n_entities, n_relations, n_triples):
+    triples = set()
+    while len(triples) < n_triples:
+        triples.add((int(rng.integers(n_entities)), int(rng.integers(n_relations)),
+                     int(rng.integers(n_entities))))
+    return KnowledgeGraph([f"e{i}" for i in range(n_entities)],
+                          [f"r{i}" for i in range(n_relations)],
+                          [Triple(*t) for t in sorted(triples)])
+
+
+def parity_case(name):
+    """(table, graph) for one parity case of link_prediction_eval."""
+    rng = np.random.default_rng(17)
+    if name == "trained-kg-50":
+        g = seeded_kg_50()
+        cfg = TransEConfig(epochs=100, learning_rate=0.05, batch_size=32, seed=0)
+        return train_kg_embeddings(g, cfg, d=16)[0], g
+    if name == "relations-x1e3":
+        g = random_graph(rng, 40, 3, 64)
+        return EmbeddingTable(8, rng.normal(size=(40, 8)),
+                              1e3 * rng.normal(size=(3, 8))), g
+    if name == "duplicates-and-exact-hits":
+        # integer coordinates in {-1, 0, 1}^3 repeat rows and put many
+        # targets v_h + e_r exactly on an entity, so distances tie exactly
+        g = random_graph(rng, 60, 4, 64)
+        ent = rng.integers(-1, 2, size=(60, 3)).astype(np.float64)
+        ent[::7] = ent[1]
+        rel = rng.integers(-1, 2, size=(4, 3)).astype(np.float64)
+        return EmbeddingTable(3, ent, rel), g
+    if name == "subnormal-distances":
+        # squared distances underflow, so rounding errors are absolute
+        g = random_graph(rng, 30, 2, 20)
+        return EmbeddingTable(4, 1e-160 * rng.normal(size=(30, 4)),
+                              1e-160 * rng.normal(size=(2, 4))), g
+    assert name == "partial-block"
+    g = random_graph(rng, 30, 2, 2 * LINK_PREDICTION_BLOCK + 5)
+    ent = rng.normal(size=(30, 5))
+    ent[10:20] = ent[:10]
+    return EmbeddingTable(5, ent, rng.normal(size=(2, 5))), g
+
+
 class TestLinkPredictionEval:
+    @pytest.mark.parametrize("case", ["trained-kg-50", "relations-x1e3",
+                                      "duplicates-and-exact-hits", "subnormal-distances",
+                                      "partial-block"])
+    def test_matches_per_triple_scan_bit_for_bit(self, case):
+        # equal hits@k for every k pins the whole rank histogram
+        emb, g = parity_case(case)
+        for k in range(1, g.n_entities + 1):
+            assert link_prediction_eval(emb, g, k) == reference_link_prediction(emb, g, k)
+
+    def test_short_table_is_unknown_id_error(self):
+        g = chain_graph(10)
+        emb = init_embeddings(g, d=4, seed=0)
+        short = EmbeddingTable(4, emb.entity_vecs[:-1], emb.relation_vecs)
+        with pytest.raises(UnknownIdError):
+            link_prediction_eval(short, g, k=10)
+        short = EmbeddingTable(4, emb.entity_vecs, emb.relation_vecs[:-1])
+        with pytest.raises(UnknownIdError):
+            link_prediction_eval(short, g, k=10)
+
+    def test_full_graph_table_on_subgraph_is_unknown_id_error(self):
+        # subgraph_fraction re-interns entities, so the full graph's rows
+        # no longer belong to the subgraph's ids
+        g = chain_graph(50, 2)
+        emb = init_embeddings(g, d=4, seed=0)
+        sub = subgraph_fraction(g, 0.5, seed=3)
+        assert sub.n_entities < g.n_entities
+        with pytest.raises(UnknownIdError):
+            link_prediction_eval(emb, sub, k=10)
+
     def test_perfect_embeddings_hit_at_1(self):
         ent = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [5.0, 5.0]])
         rel = np.array([[1.0, 0.0], [0.0, 1.0]])
