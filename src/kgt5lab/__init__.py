@@ -12,4 +12,4 @@ Subpackage map:
 * ``cli``        -- command-line entry point
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -10,6 +10,10 @@ terms need: elementwise add/sub/mul, scalar multiply, 2-D matmul, transpose,
 row gather, row concat, reshape, last-axis softmax, RMS norm, gelu, dropout,
 mean cross entropy, differentiable cosine similarity and mean/sum reductions.
 No broadcasting beyond what those shapes require, no fast-math anywhere.
+
+A packed batch (several examples' rows back to back in one tensor) draws
+its dropout masks through ``Streams``: one random stream per example, so
+each example sees the masks it would draw alone.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .embeddings import cosine_sim
+from .embeddings import ZeroVectorError, cosine_sim
 
 RMS_EPS = 1e-12
 GELU_C = float(np.sqrt(2.0 / np.pi))
@@ -61,6 +65,43 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
+
+
+class Streams:
+    """One dropout stream per segment of a packed batch.
+
+    Segment ``i`` owns rows ``rows[i]:rows[i+1]`` and draws its mask block
+    from ``gens[i]`` with the shape that segment draws when run alone, so
+    each segment sees the masks of an unpacked run.  For [H, Lq, Lk]
+    attention probabilities the block spans key columns ``cols[i]:cols[i+1]``
+    too (``cols`` defaults to ``rows``); entries outside every block are 0.
+    """
+
+    __slots__ = ("gens", "rows", "cols")
+
+    def __init__(self, gens: Sequence[np.random.Generator], rows: Sequence[int],
+                 cols: Optional[Sequence[int]] = None):
+        self.gens = gens
+        self.rows = rows
+        self.cols = rows if cols is None else cols
+
+    def keep_mask(self, shape: tuple[int, ...], keep: float) -> np.ndarray:
+        mask = np.zeros(shape)
+        r, c = self.rows, self.cols
+        for i, gen in enumerate(self.gens):
+            if len(shape) == 2:
+                block = mask[r[i]:r[i + 1]]
+            else:
+                block = mask[..., r[i]:r[i + 1], c[i]:c[i + 1]]
+            block[...] = (gen.random(block.shape) < keep) / keep
+        return mask
+
+
+def _keep_mask(rng, shape: tuple[int, ...], keep: float) -> np.ndarray:
+    """Inverted-dropout scale mask (0 or 1/keep) from a Generator or Streams."""
+    if isinstance(rng, Streams):
+        return rng.keep_mask(shape, keep)
+    return (rng.random(shape) < keep) / keep
 
 
 class Node:
@@ -341,15 +382,16 @@ def gelu(x: Tensor) -> Tensor:
     return _record("gelu", out, (x,), bwd)
 
 
-def dropout(x: Tensor, p_drop: float, rng: np.random.Generator,
-            train: bool) -> Tensor:
-    """Inverted dropout: train-mode output has the input as its expectation."""
+def dropout(x: Tensor, p_drop: float, rng, train: bool) -> Tensor:
+    """Inverted dropout: train-mode output has the input as its expectation.
+
+    ``rng`` is a Generator, or ``Streams`` over the rows of a packed batch.
+    """
     if not (0.0 <= p_drop < 1.0):
         raise ValueError(f"p_drop must be in [0, 1), got {p_drop}")
     if not train or p_drop == 0.0:
         return x
-    keep = 1.0 - p_drop
-    mask = (rng.random(x.data.shape) < keep) / keep
+    mask = _keep_mask(rng, x.data.shape, 1.0 - p_drop)
     out = Tensor(x.data * mask)
 
     def bwd(g):
@@ -359,8 +401,15 @@ def dropout(x: Tensor, p_drop: float, rng: np.random.Generator,
     return _record("dropout", out, (x,), bwd)
 
 
-def cross_entropy_mean(logits: Tensor, targets, ignore_id: int = -1) -> Tensor:
-    """Mean -log softmax(logits)[target] over positions not equal to ignore_id."""
+def cross_entropy_mean(logits: Tensor, targets, ignore_id: int = -1,
+                       weights=None) -> Tensor:
+    """Mean -log softmax(logits)[target] over positions not equal to ignore_id.
+
+    With ``weights`` (one per row) the result is instead the weighted sum
+    over those positions.  A packed batch weights each row by
+    1 / (examples x kept positions of its example), which gives the mean
+    over examples of each example's mean.
+    """
     if logits.data.ndim != 2:
         raise ShapeMismatchError(f"cross_entropy_mean: need [t, V], got {logits.data.shape}")
     tgt = np.asarray(targets, dtype=np.int64)
@@ -378,31 +427,50 @@ def cross_entropy_mean(logits: Tensor, targets, ignore_id: int = -1) -> Tensor:
     lse = np.log(np.sum(np.exp(z), axis=1, keepdims=True)) + m
     rows = np.arange(tgt.shape[0])
     per_pos = (lse[:, 0] - logits.data[rows, tgt * kept]) * kept
-    out = Tensor(np.sum(per_pos) / n_kept)
+    if weights is None:
+        out = Tensor(np.sum(per_pos) / n_kept)
+    else:
+        w = np.asarray(weights, dtype=np.float64)
+        if w.shape != tgt.shape:
+            raise ShapeMismatchError("cross_entropy_mean: one weight per row required")
+        out = Tensor(np.sum(per_pos * w))
 
     def bwd(g):
         if logits.requires_grad:
             p = np.exp(logits.data - lse)
             p[rows, tgt * kept] -= 1.0
             p[~kept] = 0.0
-            p *= float(g) / n_kept
+            if weights is None:
+                p *= float(g) / n_kept
+            else:
+                p *= float(g) * w[:, None]
             _acc_new(logits, p)
 
     return _record("cross_entropy_mean", out, (logits,), bwd)
 
 
 def cosine_similarity(v: Tensor, e: Tensor) -> Tensor:
-    """Differentiable cosine similarity of two 1-D tensors."""
-    if v.data.ndim != 1 or e.data.ndim != 1:
-        raise ShapeMismatchError("cosine_similarity: need 1-D tensors")
+    """Differentiable cosine similarity of two 1-D tensors, or row by row of
+    two [n, d] tensors (an [n] result).  Raises ZeroVectorError on a zero norm.
+    """
     _same_shape("cosine_similarity", v, e)
-    c = cosine_sim(v.data, e.data)  # raises ZeroVectorError on zero norms
-    nv = float(np.linalg.norm(v.data))
-    ne = float(np.linalg.norm(e.data))
-    out = Tensor(c)
+    if v.data.ndim == 1:
+        c = cosine_sim(v.data, e.data)
+        nv = float(np.linalg.norm(v.data))
+        ne = float(np.linalg.norm(e.data))
+        out = Tensor(c)
+    elif v.data.ndim == 2:
+        nv = np.sqrt(np.sum(v.data * v.data, axis=1, keepdims=True))
+        ne = np.sqrt(np.sum(e.data * e.data, axis=1, keepdims=True))
+        if np.any(nv == 0.0) or np.any(ne == 0.0):
+            raise ZeroVectorError("cosine similarity of a zero vector")
+        c = np.sum(v.data * e.data, axis=1, keepdims=True) / (nv * ne)
+        out = Tensor(c[:, 0])
+    else:
+        raise ShapeMismatchError("cosine_similarity: need 1-D or 2-D tensors")
 
     def bwd(g):
-        gf = float(g)
+        gf = float(g) if g.ndim == 0 else g[:, None]
         if v.requires_grad:
             _acc_new(v, gf * (e.data / (nv * ne) - c * v.data / (nv * nv)))
         if e.requires_grad:
@@ -463,16 +531,16 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
                    bias_idx: Optional[np.ndarray] = None,
                    mask: Optional[np.ndarray] = None,
                    p_drop: float = 0.0,
-                   rng: Optional[np.random.Generator] = None,
-                   train: bool = False) -> Tensor:
+                   rng=None, train: bool = False) -> Tensor:
     """Fused multi-head scaled-dot-product attention over projected q/k/v.
 
     Heads are contiguous column blocks of the [L, d] inputs.  ``bias_table``
     [H, W] is gathered per head through ``bias_idx`` [Lq, Lk] (entries < 0
     mean zero bias, used for non-text rows); ``mask`` is an additive constant.
-    Dropout applies to the attention probabilities.  One tape node replaces
-    the matmul/softmax composition for speed; the backward pass is the exact
-    analytic gradient of that composition.
+    Dropout applies to the attention probabilities; ``rng`` is a Generator,
+    or ``Streams`` over the query rows and key columns of a packed batch.
+    One tape node replaces the matmul/softmax composition for speed; the
+    backward pass is the exact analytic gradient of that composition.
     """
     lq, d = q.data.shape
     lk = k.data.shape[0]
@@ -485,7 +553,9 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
     qh = np.ascontiguousarray(q.data.reshape(lq, n_heads, dh).transpose(1, 0, 2))
     kh = np.ascontiguousarray(k.data.reshape(lk, n_heads, dh).transpose(1, 0, 2))
     vh = np.ascontiguousarray(v.data.reshape(lk, n_heads, dh).transpose(1, 0, 2))
-    scores = (qh @ kh.transpose(0, 2, 1)) * scale
+    # [H, Lq, Lk] buffers are reused in place: a packed batch makes them large
+    scores = qh @ kh.transpose(0, 2, 1)
+    scores *= scale
     valid = None
     if bias_table is not None:
         valid = bias_idx >= 0
@@ -493,25 +563,21 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
         if not valid.all():
             gathered *= valid
         scores += gathered
+        del gathered
     if mask is not None:
         scores += mask
     scores -= np.max(scores, axis=-1, keepdims=True)
-    e = np.exp(scores)
-    probs = e / np.sum(e, axis=-1, keepdims=True)
-    if train and p_drop > 0.0:
-        keep = 1.0 - p_drop
-        dmask = (rng.random(probs.shape) < keep) / keep
-        probs_kept = probs * dmask
-    else:
-        dmask = None
-        probs_kept = probs
-    out_h = probs_kept @ vh
+    probs = np.exp(scores, out=scores)
+    probs /= np.sum(probs, axis=-1, keepdims=True)
+    dmask = _keep_mask(rng, probs.shape, 1.0 - p_drop) if train and p_drop > 0.0 else None
+    out_h = (probs if dmask is None else probs * dmask) @ vh
     out = Tensor(np.ascontiguousarray(out_h.transpose(1, 0, 2)).reshape(lq, d))
 
     def bwd(g):
         g_h = np.ascontiguousarray(g.reshape(lq, n_heads, dh).transpose(1, 0, 2))
         d_probs = g_h @ vh.transpose(0, 2, 1)
         if v.requires_grad:
+            probs_kept = probs if dmask is None else probs * dmask
             dv_h = probs_kept.transpose(0, 2, 1) @ g_h
             _acc_new(v, np.ascontiguousarray(dv_h.transpose(1, 0, 2)).reshape(lk, d))
         if dmask is not None:

@@ -129,7 +129,10 @@ def _transe_epoch(ent, rel, heads, rels, tails, order, neg_sides, neg_entities,
     ``order`` is the visiting permutation; ``neg_sides``/``neg_entities`` are
     [T, K] arrays aligned to positions in ``order`` (side 0 corrupts the
     head, 1 the tail).  Each active pair contributes a full lr-scaled
-    subgradient; updates are accumulated within a batch and applied at its end.
+    subgradient; updates are accumulated within a batch and applied at its
+    end.  Entity gradients accumulate only over the entity rows the batch
+    touches, each row receiving its additions in the same order as a
+    full-table buffer would, so the update is the same bit for bit.
     """
     n = order.shape[0]
     k = neg_sides.shape[1]
@@ -139,17 +142,23 @@ def _transe_epoch(ent, rel, heads, rels, tails, order, neg_sides, neg_entities,
         idx = order[b0:b0 + batch_size]
         b = idx.shape[0]
         h, r, t = heads[idx], rels[idx], tails[idx]
+        corrupt_head = neg_sides[b0:b0 + b] == 0
+        corrupt = neg_entities[b0:b0 + b]
+        h_neg = np.where(corrupt_head, corrupt, h[:, None])  # [b, K]
+        t_neg = np.where(corrupt_head, t[:, None], corrupt)
+        # touched entity rows; slot_* map each id to its row of g_ent
+        touched, slots = np.unique(np.concatenate([h, t, h_neg.T.ravel(), t_neg.T.ravel()]),
+                                   return_inverse=True)
+        slot_h, slot_t = slots[:b], slots[b:2 * b]
+        slot_hn = slots[2 * b:(2 + k) * b].reshape(k, b)
+        slot_tn = slots[(2 + k) * b:].reshape(k, b)
         pos_diff = ent[h] + rel[r] - ent[t]
         d_pos = np.sqrt(np.sum(pos_diff * pos_diff, axis=1))
         u_pos = pos_diff / np.maximum(d_pos, tiny)[:, None]
-        g_ent = np.zeros_like(ent)
+        g_ent = np.zeros((touched.shape[0], ent.shape[1]))
         g_rel = np.zeros_like(rel)
         for kk in range(k):
-            side = neg_sides[b0:b0 + b, kk]
-            corrupt = neg_entities[b0:b0 + b, kk]
-            h_neg = np.where(side == 0, corrupt, h)
-            t_neg = np.where(side == 0, t, corrupt)
-            neg_diff = ent[h_neg] + rel[r] - ent[t_neg]
+            neg_diff = ent[h_neg[:, kk]] + rel[r] - ent[t_neg[:, kk]]
             d_neg = np.sqrt(np.sum(neg_diff * neg_diff, axis=1))
             hinge = margin + d_pos - d_neg
             active = hinge > 0.0
@@ -159,12 +168,12 @@ def _transe_epoch(ent, rel, heads, rels, tails, order, neg_sides, neg_entities,
             u_neg = neg_diff / np.maximum(d_neg, tiny)[:, None]
             up = u_pos[active]
             un = u_neg[active]
-            np.add.at(g_ent, h[active], up)
+            np.add.at(g_ent, slot_h[active], up)
             np.add.at(g_rel, r[active], up - un)
-            np.add.at(g_ent, t[active], -up)
-            np.add.at(g_ent, h_neg[active], -un)
-            np.add.at(g_ent, t_neg[active], un)
-        ent -= lr * g_ent
+            np.add.at(g_ent, slot_t[active], -up)
+            np.add.at(g_ent, slot_hn[kk][active], -un)
+            np.add.at(g_ent, slot_tn[kk][active], un)
+        ent[touched] -= lr * g_ent
         rel -= lr * g_rel
     return loss_sum
 

@@ -7,6 +7,13 @@ vectors are projected into model space and appended after a SEP boundary,
 with a learned type embedding separating entity slots from relation slots.
 With variant ``none`` the encoder input is bit-identical to a model with no
 KG machinery at all.
+
+Training packs a batch into one encoder and one decoder sequence.
+Block-diagonal additive masks keep every example to itself: encoder rows
+attend only to their own example's rows, decoder rows causally to their own
+example's prefix and across only to their own example's encoder rows.  The
+relative-position indices are block-diagonal too, with no bias between
+examples.
 """
 
 from __future__ import annotations
@@ -14,12 +21,13 @@ from __future__ import annotations
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .autodiff import (Tensor, add, attention_core, concat_rows, dropout,
-                       gather_rows, gelu, matmul, rms_norm)
+from .autodiff import (Streams, Tensor, add, attention_core, concat_rows,
+                       dropout, gather_rows, gelu, matmul, rms_norm)
 from .embeddings import EmbeddingTable, seed_seq
 
 PAD_ID = 0
@@ -326,6 +334,27 @@ class EncoderInput:
     def length(self) -> int:
         return self.rows.data.shape[0]
 
+    @property
+    def segments(self) -> tuple[tuple[int, int], ...]:
+        """(text-position count, row count) of each example: just this one."""
+        return ((self.n_text, self.length),)
+
+
+@dataclass
+class PackedEncoderInput:
+    """A batch of encoder inputs back to back: example i owns ``lengths[i]``
+    consecutive rows of ``rows``, the first ``n_text[i]`` of them text;
+    ``mask`` is the examples' masks concatenated."""
+
+    rows: Tensor
+    n_text: tuple[int, ...]
+    lengths: tuple[int, ...]
+    mask: np.ndarray
+
+    @property
+    def segments(self) -> tuple[tuple[int, int], ...]:
+        return tuple(zip(self.n_text, self.lengths))
+
 
 def _kg_row_tensors(emb) -> tuple[Tensor, Tensor]:
     if isinstance(emb, EmbeddingTable):
@@ -334,13 +363,18 @@ def _kg_row_tensors(emb) -> tuple[Tensor, Tensor]:
     return ent, rel
 
 
-def build_augmented_input(a: AugmentedInput, emb, params: ModelParams) -> EncoderInput:
+def build_augmented_input(a: AugmentedInput | Sequence[AugmentedInput], emb,
+                          params: ModelParams) -> EncoderInput | PackedEncoderInput:
     """Token rows of q, then SEP and projected KG rows per the variant.
 
     ``emb`` is an EmbeddingTable or a (entity, relation) pair of Tensors
     (the trainable path).  With variant ``none`` the result is bit-identical
-    to a plain token-embedding lookup.
+    to a plain token-embedding lookup.  ``a`` is one AugmentedInput, giving
+    an EncoderInput, or a training batch of them, giving the
+    PackedEncoderInput built by one token lookup and one KG projection.
     """
+    if not isinstance(a, AugmentedInput):
+        return _pack_augmented_inputs(a, emb, params)
     cfg = params.config
     tok_emb = params["tok_emb"]
     q_rows = gather_rows(tok_emb, a.question_ids)
@@ -364,6 +398,46 @@ def build_augmented_input(a: AugmentedInput, emb, params: ModelParams) -> Encode
         type_rows = gather_rows(kg_type, [1] * len(rels))
         parts.append(add(matmul(gather_rows(rel_t, rels), kg_proj), type_rows))
     return EncoderInput(rows=concat_rows(parts), n_text=n, mask=np.ones(length))
+
+
+def _pack_augmented_inputs(augs: Sequence[AugmentedInput], emb,
+                           params: ModelParams) -> PackedEncoderInput:
+    """Each example's rows laid out as ``build_augmented_input`` lays them
+    out, examples back to back.  All token rows come from one lookup and all
+    KG rows from one projection; one row gather interleaves the two."""
+    cfg = params.config
+    tok_ids: list[int] = []
+    ents: list[int] = []
+    rels: list[int] = []
+    counts: list[tuple[int, int, int]] = []  # token, entity, relation rows
+    for a in augs:
+        sep = [] if a.variant == "none" else [SEP_ID]
+        tok_ids += a.question_ids + sep
+        ents += a.input_entity_ids
+        rels += a.input_relation_ids
+        counts.append((len(a.question_ids) + len(sep), len(a.input_entity_ids),
+                       len(a.input_relation_ids)))
+    lengths = tuple(sum(c) for c in counts)
+    for length in lengths:
+        if length > cfg.max_len:
+            raise TooLongError(f"encoder input length {length} > max_len {cfg.max_len}")
+    rows = gather_rows(params["tok_emb"], tok_ids)
+    if ents or rels:
+        ent_t, rel_t = _kg_row_tensors(emb)
+        kg_in = ([gather_rows(ent_t, ents)] if ents else []) + \
+            ([gather_rows(rel_t, rels)] if rels else [])
+        kg_in = kg_in[0] if len(kg_in) == 1 else concat_rows(kg_in)
+        types = gather_rows(params["kg_type"], [0] * len(ents) + [1] * len(rels))
+        kg = add(matmul(kg_in, params["kg_proj"]), types)
+        # packed row -> row of the stacked [token rows; entity rows; relation rows]
+        order: list[int] = []
+        t0, e0, r0 = 0, len(tok_ids), len(tok_ids) + len(ents)
+        for n_tok, n_e, n_r in counts:
+            order += [*range(t0, t0 + n_tok), *range(e0, e0 + n_e), *range(r0, r0 + n_r)]
+            t0, e0, r0 = t0 + n_tok, e0 + n_e, r0 + n_r
+        rows = gather_rows(concat_rows([rows, kg]), order)
+    return PackedEncoderInput(rows=rows, n_text=tuple(len(a.question_ids) for a in augs),
+                              lengths=lengths, mask=np.ones(sum(lengths)))
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +474,41 @@ def _mask_to_additive(mask: np.ndarray, n_rows: int) -> Optional[np.ndarray]:
     return np.broadcast_to(cols, (n_rows, mask.shape[0])).copy()
 
 
+def _block_diag(blocks: Sequence[Optional[np.ndarray]],
+                shapes: Sequence[tuple[int, int]], fill) -> Optional[np.ndarray]:
+    """Block i (None: zeros) of shape ``shapes[i]`` on the diagonal, ``fill``
+    elsewhere.  A lone block is returned as it is, so a batch of one uses
+    the cached per-example arrays."""
+    if len(blocks) == 1:
+        return blocks[0]
+    out = np.full((sum(r for r, _ in shapes), sum(c for _, c in shapes)), fill)
+    r0 = c0 = 0
+    for block, (r, c) in zip(blocks, shapes):
+        out[r0:r0 + r, c0:c0 + c] = 0 if block is None else block
+        r0, c0 = r0 + r, c0 + c
+    return out
+
+
+def _offsets(lengths: Sequence[int]) -> list[int]:
+    return [0, *accumulate(lengths)]
+
+
+def _streams(rngs, rows: Sequence[int], cols: Optional[Sequence[int]] = None):
+    """Dropout source over packed rows (and attention key columns) from one
+    Generator per example; None stays None."""
+    if rngs is None:
+        return None
+    if len(rngs) == 1:
+        return rngs[0]
+    return Streams(rngs, _offsets(rows), None if cols is None else _offsets(cols))
+
+
+def _example_masks(mask: np.ndarray, lengths: Sequence[int]) -> list[np.ndarray]:
+    if len(lengths) == 1:
+        return [mask]
+    return np.split(mask, _offsets(lengths)[1:-1])
+
+
 def _project_kv(params: ModelParams, prefix: str, x: Tensor) -> tuple[Tensor, Tensor]:
     return matmul(x, params[f"{prefix}.wk"]), matmul(x, params[f"{prefix}.wv"])
 
@@ -422,12 +531,19 @@ def _ffn(params: ModelParams, prefix: str, x: Tensor) -> Tensor:
     return matmul(gelu(matmul(x, params[f"{prefix}.w1"])), params[f"{prefix}.w2"])
 
 
-def encode(params: ModelParams, enc_input: EncoderInput, rng,
-           train: bool) -> Tensor:
+def encode(params: ModelParams, enc_input: EncoderInput | PackedEncoderInput,
+           rng, train: bool) -> Tensor:
+    """Encoder output rows; ``rng`` is None or one dropout Generator per example."""
     cfg = params.config
-    length = enc_input.length
-    bias_idx = _bias_idx(enc_input.n_text, length, cfg.max_len)
-    mask = _mask_to_additive(enc_input.mask, length)
+    segments = enc_input.segments
+    lengths = [n for _, n in segments]
+    shapes = [(n, n) for n in lengths]
+    bias_idx = _block_diag([_bias_idx(t, n, cfg.max_len) for t, n in segments],
+                           shapes, -1)
+    mask = _block_diag([_mask_to_additive(m, n) for m, n in
+                        zip(_example_masks(enc_input.mask, lengths), lengths)],
+                       shapes, NEG_INF)
+    rng = _streams(rng, lengths)
     x = dropout(enc_input.rows, cfg.dropout_p, rng, train)
     for i in range(cfg.n_layers):
         norm_x = rms_norm(x, params[f"enc{i}.ln1"])
@@ -446,15 +562,28 @@ def _cross_kv(params: ModelParams, enc_out: Tensor) -> list[tuple[Tensor, Tensor
 
 
 def _decode_stack(params: ModelParams, decoder_ids: Sequence[int],
-                  cross_kv: list[tuple[Tensor, Tensor]], enc_mask: np.ndarray,
-                  rng, train: bool) -> Tensor:
-    """Logits [len(decoder_ids), vocab] of the decoder stack over the whole
-    prefix, attending to the encoder through each layer's ``cross_kv``."""
+                  dec_lengths: Sequence[int], cross_kv: list[tuple[Tensor, Tensor]],
+                  enc_input: EncoderInput | PackedEncoderInput, rng,
+                  train: bool) -> Tensor:
+    """Logits [len(decoder_ids), vocab] of the decoder stack over whole
+    prefixes, attending to the encoder through each layer's ``cross_kv``.
+
+    ``decoder_ids`` holds each example's prefix (``dec_lengths``) back to
+    back, in the order of ``enc_input``'s examples; ``rng`` is None or one
+    dropout Generator per example.
+    """
     cfg = params.config
-    t = len(decoder_ids)
-    cross_mask = _mask_to_additive(enc_mask, t)
-    dec_bias_idx = _bias_idx(t, t, cfg.max_len)
-    causal = _causal_mask(t)
+    enc_lengths = [n for _, n in enc_input.segments]
+    self_shapes = [(t, t) for t in dec_lengths]
+    cross_shapes = list(zip(dec_lengths, enc_lengths))
+    cross_mask = _block_diag([_mask_to_additive(m, t) for m, t in
+                              zip(_example_masks(enc_input.mask, enc_lengths), dec_lengths)],
+                             cross_shapes, NEG_INF)
+    dec_bias_idx = _block_diag([_bias_idx(t, t, cfg.max_len) for t in dec_lengths],
+                               self_shapes, -1)
+    causal = _block_diag([_causal_mask(t) for t in dec_lengths], self_shapes, NEG_INF)
+    cross_rng = _streams(rng, dec_lengths, enc_lengths)
+    rng = _streams(rng, dec_lengths)
     y = dropout(gather_rows(params["tok_emb"], list(decoder_ids)),
                 cfg.dropout_p, rng, train)
     for i, kv in enumerate(cross_kv):
@@ -463,33 +592,47 @@ def _decode_stack(params: ModelParams, decoder_ids: Sequence[int],
                        params["dec_rel_bias"], dec_bias_idx, causal, rng, train)
         y = add(y, dropout(a, cfg.dropout_p, rng, train))
         c = _attention(params, f"dec{i}.cross", rms_norm(y, params[f"dec{i}.ln2"]),
-                       kv, None, None, cross_mask, rng, train)
+                       kv, None, None, cross_mask, cross_rng, train)
         y = add(y, dropout(c, cfg.dropout_p, rng, train))
         f = _ffn(params, f"dec{i}.ffn", rms_norm(y, params[f"dec{i}.ln3"]))
         y = add(y, dropout(f, cfg.dropout_p, rng, train))
     return matmul(rms_norm(y, params["dec_norm"]), params["out_proj"])
 
 
-def _check_encoder_length(params: ModelParams, enc_input: EncoderInput) -> None:
-    if enc_input.length > params.config.max_len:
-        raise TooLongError(f"encoder length {enc_input.length} > max_len "
-                           f"{params.config.max_len}")
+def _check_encoder_length(params: ModelParams,
+                          enc_input: EncoderInput | PackedEncoderInput) -> None:
+    for _, length in enc_input.segments:
+        if length > params.config.max_len:
+            raise TooLongError(f"encoder length {length} > max_len "
+                               f"{params.config.max_len}")
 
 
-def forward(params: ModelParams, enc_input: EncoderInput,
-            decoder_ids: Sequence[int], train_mode: bool, seed: int) -> Tensor:
-    """Teacher-forced logits [len(decoder_ids), vocab]."""
+def forward(params: ModelParams, enc_input: EncoderInput | PackedEncoderInput,
+            decoder_ids, train_mode: bool, seed) -> Tensor:
+    """Teacher-forced logits [len(decoder_ids), vocab] of one example.
+
+    A packed batch passes a PackedEncoderInput with one decoder id list and
+    one dropout seed per example; the logits are then the examples' rows
+    back to back.  Each example draws its dropout masks from its own seed
+    in the order it would alone, so packing changes only how sums round.
+    """
     cfg = params.config
-    if not decoder_ids or decoder_ids[0] != BOS_ID:
-        raise MissingBOSError("decoder_ids must start with BOS")
-    t = len(decoder_ids)
-    if t > cfg.max_len:
-        raise TooLongError(f"decoder length {t} > max_len {cfg.max_len}")
+    packed = isinstance(enc_input, PackedEncoderInput)
+    id_lists = decoder_ids if packed else [decoder_ids]
+    seeds = seed if packed else [seed]
+    if not len(id_lists) == len(seeds) == len(enc_input.segments):
+        raise ValueError("need one decoder id list and one seed per example")
+    for ids in id_lists:
+        if not ids or ids[0] != BOS_ID:
+            raise MissingBOSError("decoder_ids must start with BOS")
+        if len(ids) > cfg.max_len:
+            raise TooLongError(f"decoder length {len(ids)} > max_len {cfg.max_len}")
     _check_encoder_length(params, enc_input)
-    rng = np.random.default_rng(seed_seq(seed, "dropout"))
-    enc_out = encode(params, enc_input, rng, train_mode)
-    return _decode_stack(params, decoder_ids, _cross_kv(params, enc_out),
-                         enc_input.mask, rng, train_mode)
+    rngs = [np.random.default_rng(seed_seq(s, "dropout")) for s in seeds]
+    enc_out = encode(params, enc_input, rngs, train_mode)
+    return _decode_stack(params, [i for ids in id_lists for i in ids],
+                         [len(ids) for ids in id_lists], _cross_kv(params, enc_out),
+                         enc_input, rngs, train_mode)
 
 
 def greedy_decode(params: ModelParams, enc_input: EncoderInput,
@@ -511,7 +654,8 @@ def greedy_decode(params: ModelParams, enc_input: EncoderInput,
     ids = [BOS_ID]
     out: list[int] = []
     for _ in range(max_steps):
-        logits = _decode_stack(params, ids, cross_kv, enc_input.mask, None, False)
+        logits = _decode_stack(params, ids, (len(ids),), cross_kv, enc_input,
+                               None, False)
         nxt = int(np.argmax(logits.data[-1]))
         if nxt == EOS_ID:
             break

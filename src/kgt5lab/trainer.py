@@ -6,11 +6,17 @@ relation) pairs of an example.  The similarity weight is signed: minimizing
 the objective as written penalizes similarity for positive weights and
 rewards it for negative ones; the default experiment configs use -0.1.
 KG embedding rows touched by a batch are fine-tuned jointly unless frozen.
+
+Each step runs its whole batch as one packed graph (see ``model``); both
+loss terms are still the mean over examples of each example's mean.  A step
+whose loss or pre-clip gradient norm is not finite raises
+``NonFiniteTrainingError`` before any parameter moves.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
@@ -18,14 +24,13 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .autodiff import (Tape, Tensor, add, backward, cross_entropy_mean,
-                       cosine_similarity, gather_rows, reshape, scalar_mul,
-                       ShapeMismatchError)
+                       cosine_similarity, gather_rows, mul, reduce_sum,
+                       scalar_mul, ShapeMismatchError)
 from .embeddings import EmbeddingTable, seed_seq
 from .kg import KnowledgeGraph, link_mentions
 from .model import (AugmentedInput, BOS_ID, EOS_ID, EmptyCorpusError,
-                    EncoderInput, ModelConfig, ModelParams, PAD_ID,
-                    Vocabulary, build_augmented_input, forward, span_corrupt,
-                    tokenize)
+                    ModelConfig, ModelParams, PAD_ID, Vocabulary,
+                    build_augmented_input, forward, span_corrupt, tokenize)
 
 CHECKPOINT_MAGIC = b"KGT5CKPT"
 CHECKPOINT_VERSION = 1
@@ -49,6 +54,25 @@ class TruncatedFileError(ValueError):
 
 class CheckpointShapeError(ValueError):
     pass
+
+
+class CheckpointLayoutError(ValueError):
+    """Tensor blobs that overlap, leave gaps, come out of order or leave
+    trailing bytes."""
+
+
+class CheckpointHeaderError(ValueError):
+    """A checkpoint header that is not UTF-8 JSON."""
+
+
+class NonFiniteTrainingError(FloatingPointError):
+    """A training step's loss or pre-clip gradient norm is not finite."""
+
+    def __init__(self, step: int, loss: float, sim: Optional[float],
+                 grad_norm: float):
+        self.step, self.loss, self.sim, self.grad_norm = step, loss, sim, grad_norm
+        super().__init__(f"step {step}: L={loss!r} Sim={sim!r} "
+                         f"pre-clip gradient norm={grad_norm!r}")
 
 
 @dataclass
@@ -98,27 +122,40 @@ class AdamState:
                    v={n: np.zeros_like(t.data) for n, t in params.items()})
 
 
-def sim_term(emb, entities: Sequence[int], relations: Sequence[int]) -> Tensor:
+def sim_term(emb, entities: Sequence[int], relations: Sequence[int],
+             counts: Optional[Sequence[tuple[int, int]]] = None) -> Tensor:
     """Mean cosine similarity over entities x relations, differentiable.
 
-    ``emb`` is an EmbeddingTable or a (entity, relation) Tensor pair.
-    Returns an exact 0 scalar (no gradient) if either list is empty.
+    ``emb`` is an EmbeddingTable or a (entity, relation) Tensor pair.  For a
+    batch, ``entities`` and ``relations`` hold the examples' id lists back
+    to back and ``counts`` each example's (entity, relation) list lengths;
+    the result is the mean over examples of each example's mean, an example
+    with an empty product counting as 0.  All pairs go through one
+    row-wise cosine node.  Returns an exact 0 scalar (no gradient) if there
+    is no pair at all.
     """
-    if not entities or not relations:
+    if counts is None:
+        counts = [(len(entities), len(relations))]
+    pair_ents: list[int] = []
+    pair_rels: list[int] = []
+    weights: list[float] = []
+    e0 = r0 = 0
+    for n_e, n_r in counts:
+        rels = list(relations[r0:r0 + n_r])
+        for e in entities[e0:e0 + n_e]:
+            pair_ents += [e] * n_r
+            pair_rels += rels
+        if n_e and n_r:
+            weights += [1.0 / (len(counts) * n_e * n_r)] * (n_e * n_r)
+        e0, r0 = e0 + n_e, r0 + n_r
+    if not pair_ents:
         return Tensor(0.0)
     if isinstance(emb, EmbeddingTable):
         ent_t, rel_t = Tensor(emb.entity_vecs), Tensor(emb.relation_vecs)
     else:
         ent_t, rel_t = emb
-    d = ent_t.data.shape[1]
-    total: Optional[Tensor] = None
-    for e in entities:
-        ve = reshape(gather_rows(ent_t, [e]), (d,))
-        for r in relations:
-            vr = reshape(gather_rows(rel_t, [r]), (d,))
-            c = cosine_similarity(ve, vr)
-            total = c if total is None else add(total, c)
-    return scalar_mul(total, 1.0 / (len(entities) * len(relations)))
+    cos = cosine_similarity(gather_rows(ent_t, pair_ents), gather_rows(rel_t, pair_rels))
+    return reduce_sum(mul(cos, Tensor(weights)))
 
 
 def loss_prime(base_loss: Tensor, sim: Tensor, sim_weight: float) -> Tensor:
@@ -129,16 +166,26 @@ def loss_prime(base_loss: Tensor, sim: Tensor, sim_weight: float) -> Tensor:
     return add(base_loss, scalar_mul(sim, sim_weight))
 
 
+def global_norm(grads: dict[str, np.ndarray],
+                sparse: Optional[dict[str, tuple[np.ndarray, np.ndarray]]] = None) -> float:
+    """L2 norm over dense gradients and sparse gradient rows together."""
+    sq = sum(float(np.sum(g * g)) for _, g in sorted(grads.items()))
+    sq += sum(float(np.sum(rows * rows)) for _, (_, rows) in sorted((sparse or {}).items()))
+    return float(np.sqrt(sq))
+
+
 def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
               state: AdamState, cfg: TrainConfig,
-              sparse: Optional[dict[str, tuple[np.ndarray, np.ndarray]]] = None) -> None:
+              sparse: Optional[dict[str, tuple[np.ndarray, np.ndarray]]] = None,
+              grad_norm: Optional[float] = None) -> None:
     """One Adam step in place, with optional row-sparse entries.
 
     ``sparse`` maps a parameter name to (unique row ids, gradient rows); only
     those rows' moments and values are updated, by the same formula as the
     dense tensors.  Global-norm clipping (if set)
     covers dense and sparse gradients together and happens before the moment
-    updates.  Decoupled weight decay multiplies the post-update parameters.
+    updates; ``grad_norm``, if the caller has it, is that ``global_norm``.
+    Decoupled weight decay multiplies the post-update parameters.
     """
     for name, g in grads.items():
         if g.shape != params[name].data.shape:
@@ -148,9 +195,7 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
         if rows.shape != (len(ids), params[name].data.shape[1]):
             raise ShapeMismatchError(f"{name}: sparse grad rows {rows.shape}")
     if cfg.grad_clip_norm is not None:
-        sq = sum(float(np.sum(g * g)) for _, g in sorted(grads.items()))
-        sq += sum(float(np.sum(rows * rows)) for _, (_, rows) in sorted(sparse.items()))
-        norm = np.sqrt(sq)
+        norm = global_norm(grads, sparse) if grad_norm is None else grad_norm
         if norm > cfg.grad_clip_norm:
             factor = cfg.grad_clip_norm / norm
             grads = {n: g * factor for n, g in grads.items()}
@@ -191,16 +236,57 @@ def _batches(n_examples: int, batch_size: int, max_steps: int,
             produced += 1
 
 
-def _mean(parts: list[Tensor]) -> Tensor:
-    total = parts[0]
-    for p in parts[1:]:
-        total = add(total, p)
-    return scalar_mul(total, 1.0 / len(parts))
-
-
 def _collect_grads(params: ModelParams) -> dict[str, np.ndarray]:
     return {name: (t.grad if t.grad is not None else np.zeros_like(t.data))
             for name, t in params.tensors.items()}
+
+
+def _checked_norm(step: int, loss: float, sim: Optional[float], total: float,
+                  grads: dict[str, np.ndarray],
+                  sparse: Optional[dict[str, tuple[np.ndarray, np.ndarray]]] = None) -> float:
+    """The step's pre-clip gradient norm; raises if it, L or L' is not finite."""
+    norm = global_norm(grads, sparse)
+    if not (math.isfinite(loss) and math.isfinite(total) and math.isfinite(norm)):
+        raise NonFiniteTrainingError(step, loss, sim, norm)
+    return norm
+
+
+def _batch_targets(targets: Sequence[Sequence[int]]) -> tuple[list[int], np.ndarray]:
+    """Targets back to back, and per-row cross-entropy weights that average
+    each example over its non-PAD positions and then over the batch."""
+    flat: list[int] = []
+    weights: list[float] = []
+    for tgt in targets:
+        n_kept = sum(t != PAD_ID for t in tgt)
+        flat += tgt
+        weights += [1.0 / (len(targets) * max(n_kept, 1))] * len(tgt)
+    return flat, np.array(weights)
+
+
+def _batch_cross_entropy(params: ModelParams, enc, decoder_ins: list[list[int]],
+                         targets: list[list[int]], seed: int, step: int) -> Tensor:
+    """Teacher-forced cross entropy of a packed batch; slot ``i`` draws its
+    dropout from ``_mix(seed, "fwd", step, i)``."""
+    seeds = [_mix(seed, "fwd", step, slot) for slot in range(len(targets))]
+    logits = forward(params, enc, decoder_ins, train_mode=True, seed=seeds)
+    flat, weights = _batch_targets(targets)
+    return cross_entropy_mean(logits, flat, ignore_id=PAD_ID, weights=weights)
+
+
+def _pretrain_loss(params: ModelParams, corpus_ids: Sequence[Sequence[int]],
+                   batch: Sequence[int], seed: int, step: int,
+                   corruption_rate: float, mean_span: float) -> Tensor:
+    """Span-corruption loss of one batch; the corrupted inputs enter the
+    encoder as KG-free (variant ``none``) inputs."""
+    augs, decoder_ins, targets = [], [], []
+    for slot, ex in enumerate(batch):
+        inp, tgt = span_corrupt(list(corpus_ids[ex]), corruption_rate, mean_span,
+                                seed=_mix(seed, "corrupt", step, slot))
+        augs.append(AugmentedInput(inp, [], [], "none"))
+        decoder_ins.append([BOS_ID] + tgt[:-1])
+        targets.append(tgt)
+    enc = build_augmented_input(augs, None, params)
+    return _batch_cross_entropy(params, enc, decoder_ins, targets, seed, step)
 
 
 def pretrain(params: ModelParams, corpus_ids: Sequence[Sequence[int]],
@@ -217,24 +303,15 @@ def pretrain(params: ModelParams, corpus_ids: Sequence[Sequence[int]],
     state = AdamState.init(params.tensors)
     trace: list[float] = []
     window: list[float] = []
-    tok_emb = params["tok_emb"]
     for step, batch in enumerate(_batches(len(corpus_ids), cfg.batch_size,
                                           cfg.max_steps, batch_rng)):
         with Tape() as tape:
-            losses = []
-            for slot, ex in enumerate(batch):
-                ids = list(corpus_ids[ex])
-                inp, tgt = span_corrupt(ids, corruption_rate, mean_span,
-                                        seed=_mix(cfg.seed, "corrupt", step, slot))
-                enc = EncoderInput(rows=gather_rows(tok_emb, inp),
-                                   n_text=len(inp), mask=np.ones(len(inp)))
-                dec_in = [BOS_ID] + tgt[:-1]
-                logits = forward(params, enc, dec_in, train_mode=True,
-                                 seed=_mix(cfg.seed, "fwd", step, slot))
-                losses.append(cross_entropy_mean(logits, tgt, ignore_id=PAD_ID))
-            loss = _mean(losses)
+            loss = _pretrain_loss(params, corpus_ids, batch, cfg.seed, step,
+                                  corruption_rate, mean_span)
             backward(tape, loss)
-        adam_step(params.tensors, _collect_grads(params), state, cfg)
+        grads = _collect_grads(params)
+        norm = _checked_norm(step, loss.item(), None, loss.item(), grads)
+        adam_step(params.tensors, grads, state, cfg, grad_norm=norm)
         window.append(loss.item())
         if len(window) == cfg.eval_every:
             trace.append(float(np.mean(window)))
@@ -271,6 +348,21 @@ def prepare_examples(dataset, kg: KnowledgeGraph, vocab: Vocabulary,
     return prepared
 
 
+def _finetune_loss(params: ModelParams, examples: Sequence[PreparedExample],
+                   ent_t: Tensor, rel_t: Tensor, loss_spec: LossSpec, seed: int,
+                   step: int) -> tuple[Tensor, Tensor, Tensor]:
+    """(L, Sim, L') of one packed batch of prepared examples."""
+    enc = build_augmented_input([ex.aug for ex in examples], (ent_t, rel_t), params)
+    base = _batch_cross_entropy(params, enc, [ex.decoder_in for ex in examples],
+                                [ex.target for ex in examples], seed, step)
+    sim = sim_term((ent_t, rel_t),
+                   [e for ex in examples for e in ex.aug.sim_entity_ids],
+                   [r for ex in examples for r in ex.aug.sim_relation_ids],
+                   counts=[(len(ex.aug.sim_entity_ids), len(ex.aug.sim_relation_ids))
+                           for ex in examples])
+    return base, sim, loss_prime(base, sim, loss_spec.sim_weight)
+
+
 def finetune(params: ModelParams, dataset, kg: KnowledgeGraph,
              emb: EmbeddingTable, loss_spec: LossSpec, variant: str,
              cfg: TrainConfig, vocab: Vocabulary
@@ -293,36 +385,27 @@ def finetune(params: ModelParams, dataset, kg: KnowledgeGraph,
     trace: list[tuple[int, float, float, float]] = []
     for step, batch in enumerate(_batches(len(prepared), cfg.batch_size,
                                           cfg.max_steps, batch_rng)):
-        used_ents: set[int] = set()
-        used_rels: set[int] = set()
+        examples = [prepared[i] for i in batch]
         with Tape() as tape:
-            ce_parts, sim_parts = [], []
-            for slot, idx in enumerate(batch):
-                ex = prepared[idx]
-                enc = build_augmented_input(ex.aug, (ent_t, rel_t), params)
-                logits = forward(params, enc, ex.decoder_in, train_mode=True,
-                                 seed=_mix(cfg.seed, "fwd", step, slot))
-                ce_parts.append(cross_entropy_mean(logits, ex.target, ignore_id=PAD_ID))
-                sim_parts.append(sim_term((ent_t, rel_t), ex.aug.sim_entity_ids,
-                                          ex.aug.sim_relation_ids))
-                used_ents.update(ex.aug.input_entity_ids)
-                used_ents.update(ex.aug.sim_entity_ids)
-                used_rels.update(ex.aug.input_relation_ids)
-                used_rels.update(ex.aug.sim_relation_ids)
-            base = _mean(ce_parts)
-            sim = _mean(sim_parts)
-            total = loss_prime(base, sim, loss_spec.sim_weight)
+            base, sim, total = _finetune_loss(params, examples, ent_t, rel_t,
+                                              loss_spec, cfg.seed, step)
             backward(tape, total)
         sparse: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         if cfg.kg_embeddings_trainable:
+            used_ents = {e for ex in examples
+                         for e in ex.aug.input_entity_ids + ex.aug.sim_entity_ids}
+            used_rels = {r for ex in examples
+                         for r in ex.aug.input_relation_ids + ex.aug.sim_relation_ids}
             if used_ents and ent_t.grad is not None:
                 ids = np.array(sorted(used_ents), dtype=np.int64)
                 sparse["kg_entity_rows"] = (ids, ent_t.grad[ids])
             if used_rels and rel_t.grad is not None:
                 ids = np.array(sorted(used_rels), dtype=np.int64)
                 sparse["kg_relation_rows"] = (ids, rel_t.grad[ids])
-        adam_step({**params.tensors, **emb_params}, _collect_grads(params),
-                  state, cfg, sparse=sparse)
+        grads = _collect_grads(params)
+        norm = _checked_norm(step, base.item(), sim.item(), total.item(), grads, sparse)
+        adam_step({**params.tensors, **emb_params}, grads, state, cfg,
+                  sparse=sparse, grad_norm=norm)
         trace.append((step, base.item(), sim.item(), total.item()))
     out_emb = EmbeddingTable(emb.dim, ent_t.data, rel_t.data)
     return params, out_emb, trace
@@ -373,6 +456,10 @@ def save_checkpoint(params: ModelParams, emb: Optional[EmbeddingTable],
 
 
 def load_checkpoint(path) -> tuple[ModelParams, Optional[EmbeddingTable], dict]:
+    """Inverse of ``save_checkpoint``.  Raises a typed error for a file that
+    is not exactly what ``save_checkpoint`` writes: bad preamble, a header
+    that is not UTF-8 JSON, unknown or missing tensors, blobs that are not
+    back to back in directory order, or bytes past the last blob."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < len(CHECKPOINT_MAGIC) + 8:
@@ -388,21 +475,40 @@ def load_checkpoint(path) -> tuple[ModelParams, Optional[EmbeddingTable], dict]:
     pos += 4
     if pos + hdr_len > len(raw):
         raise TruncatedFileError("header extends past end of file")
-    header = json.loads(raw[pos:pos + hdr_len].decode("utf-8"))
+    try:
+        header = json.loads(raw[pos:pos + hdr_len].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CheckpointHeaderError(f"header is not UTF-8 JSON: {exc}") from None
     data_start = pos + hdr_len
     model_cfg = ModelConfig(**header["model_config"])
     kg_enabled = header["kg_enabled"]
     expected = _expected_model_shapes(model_cfg, kg_enabled)
+    known = {f"model.{name}" for name in expected}
+    if header["has_embeddings"]:
+        known |= {"kg.entity_vecs", "kg.relation_vecs"}
     arrays: dict[str, np.ndarray] = {}
+    end = 0  # data-section offset just past the previous blob
     for entry in header["tensors"]:
+        name = entry["name"]
+        if name not in known or name in arrays:
+            raise CheckpointShapeError(f"unknown or repeated tensor {name!r}")
+        if entry["offset"] != end:
+            raise CheckpointLayoutError(
+                f"tensor {name} at offset {entry['offset']}, expected {end}: "
+                "blobs overlap, leave a gap or are out of order")
         shape = tuple(entry["shape"])
-        nbytes = int(np.prod(shape)) * 8
-        lo = data_start + entry["offset"]
-        if lo + nbytes > len(raw):
-            raise TruncatedFileError(f"tensor {entry['name']} extends past end of file")
-        arrays[entry["name"]] = np.frombuffer(
-            raw, dtype="<f8", count=int(np.prod(shape)), offset=lo
-        ).reshape(shape).astype(np.float64)
+        if any(dim < 0 for dim in shape):
+            raise CheckpointShapeError(f"tensor {name}: negative dimension in {shape}")
+        count = int(np.prod(shape))
+        lo = data_start + end
+        end += count * 8
+        if data_start + end > len(raw):
+            raise TruncatedFileError(f"tensor {name} extends past end of file")
+        arrays[name] = np.frombuffer(raw, dtype="<f8", count=count, offset=lo
+                                     ).reshape(shape).astype(np.float64)
+    if data_start + end != len(raw):
+        raise CheckpointLayoutError(f"{len(raw) - data_start - end} trailing bytes "
+                                    "after the last tensor")
     tensors: dict[str, Tensor] = {}
     for name, shape in expected.items():
         key = f"model.{name}"

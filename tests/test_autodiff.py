@@ -7,14 +7,15 @@ import numpy as np
 import pytest
 
 from kgt5lab.autodiff import (DetachedRootError, NotScalarRootError,
-                              ShapeMismatchError, Tape, TargetOutOfRangeError,
-                              Tensor, add, attention_core, backward,
+                              ShapeMismatchError, Streams, Tape,
+                              TargetOutOfRangeError, Tensor, add,
+                              attention_core, backward,
                               concat_rows, cosine_similarity,
                               cross_entropy_mean, dropout, gather_rows, gelu,
                               grad_check, matmul, mul, reduce_mean, reduce_sum,
                               reshape, rms_norm, scalar_mul, softmax_lastdim,
                               sub, transpose)
-from kgt5lab.embeddings import ZeroVectorError
+from kgt5lab.embeddings import ZeroVectorError, cosine_sim
 
 
 def triple_loop_matmul(a, b):
@@ -125,6 +126,21 @@ class TestCrossEntropyMean:
         with pytest.raises(TargetOutOfRangeError):
             cross_entropy_mean(Tensor(np.zeros((1, 4))), [4])
 
+    def test_weights_give_mean_of_example_means(self):
+        # rows 0-1 are one example, rows 2-4 another (row 4 ignored)
+        rng = np.random.default_rng(5)
+        logits = rng.normal(size=(5, 6))
+        tgt = [1, 2, 3, 0, -1]
+        first = cross_entropy_mean(Tensor(logits[:2]), tgt[:2]).item()
+        second = cross_entropy_mean(Tensor(logits[2:]), tgt[2:], ignore_id=-1).item()
+        w = [0.25, 0.25, 0.25, 0.25, 0.25]
+        got = cross_entropy_mean(Tensor(logits), tgt, ignore_id=-1, weights=w).item()
+        assert got == pytest.approx((first + second) / 2, rel=1e-15)
+
+    def test_weights_one_per_row(self):
+        with pytest.raises(ShapeMismatchError):
+            cross_entropy_mean(Tensor(np.zeros((2, 4))), [1, 2], weights=[1.0])
+
 
 class TestBackward:
     def test_sum_gradient(self):
@@ -232,6 +248,25 @@ class TestDropout:
         x = Tensor([3.0])
         assert dropout(x, 0.0, np.random.default_rng(0), train=True) is x
 
+    def test_streams_draw_each_segment_as_alone(self):
+        x = np.arange(1.0, 19.0).reshape(6, 3)
+        alone = [dropout(Tensor(x[lo:hi]), 0.4, np.random.default_rng(s), True).data
+                 for s, (lo, hi) in enumerate([(0, 2), (2, 3), (3, 6)])]
+        gens = [np.random.default_rng(s) for s in range(3)]
+        packed = dropout(Tensor(x), 0.4, Streams(gens, [0, 2, 3, 6]), True).data
+        assert np.array_equal(packed, np.concatenate(alone))
+
+    def test_streams_attention_blocks(self):
+        # per-head [H, Lq, Lk] masks: each segment's block as drawn alone,
+        # zero between segments
+        gens = [np.random.default_rng(s) for s in (7, 8)]
+        mask = Streams(gens, [0, 2, 5], [0, 3, 4]).keep_mask((2, 5, 4), 0.5)
+        a = (np.random.default_rng(7).random((2, 2, 3)) < 0.5) / 0.5
+        b = (np.random.default_rng(8).random((2, 3, 1)) < 0.5) / 0.5
+        assert np.array_equal(mask[:, :2, :3], a)
+        assert np.array_equal(mask[:, 2:, 3:], b)
+        assert not mask[:, :2, 3:].any() and not mask[:, 2:, :3].any()
+
 
 class TestRmsNorm:
     def test_unit_rms_before_gain(self):
@@ -259,6 +294,19 @@ class TestCosineSimilarityOp:
     def test_zero_vector_propagates(self):
         with pytest.raises(ZeroVectorError):
             cosine_similarity(Tensor([0.0, 0.0]), Tensor([1.0, 0.0]))
+
+    def test_row_wise_matches_one_pair_at_a_time(self):
+        rng = np.random.default_rng(9)
+        v, e = rng.normal(size=(5, 4)), rng.normal(size=(5, 4))
+        rows = cosine_similarity(Tensor(v), Tensor(e)).data
+        assert rows.shape == (5,)
+        for i in range(5):
+            assert rows[i] == pytest.approx(cosine_sim(v[i], e[i]), rel=1e-15, abs=1e-15)
+
+    def test_row_wise_zero_row_raises(self):
+        v = np.array([[1.0, 2.0], [0.0, 0.0]])
+        with pytest.raises(ZeroVectorError):
+            cosine_similarity(Tensor(v), Tensor(np.ones((2, 2))))
 
 
 def seeded_points(shape, n=10, scale=1.0, offset=0.0, seed=100):
@@ -344,6 +392,18 @@ class TestGradChecksAllPrimitives:
         other = Tensor(np.array([0.3, -1.2, 0.8, 2.0]))
         self.check(lambda x: cosine_similarity(x, other), seeded_points((4,)))
         self.check(lambda x: cosine_similarity(other, x), seeded_points((4,), seed=101))
+
+    def test_row_wise_cosine_similarity(self):
+        other = Tensor(np.linspace(-1.0, 1.5, 12).reshape(3, 4))
+        w = Tensor(np.array([0.5, -2.0, 1.0]))
+        self.check(lambda x: reduce_sum(mul(cosine_similarity(x, other), w)),
+                   seeded_points((3, 4)))
+        self.check(lambda x: reduce_sum(mul(cosine_similarity(other, x), w)),
+                   seeded_points((3, 4), seed=102))
+
+    def test_weighted_cross_entropy(self):
+        self.check(lambda x: cross_entropy_mean(x, [1, 0, 3], weights=[0.5, 0.2, 0.3]),
+                   seeded_points((3, 4), scale=2.0))
 
     def test_reduce_mean(self):
         self.check(lambda x: reduce_mean(x), seeded_points((3, 4)))

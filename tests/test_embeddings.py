@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from kgt5lab import embeddings
 from kgt5lab.embeddings import (LINK_PREDICTION_BLOCK, EmbeddingTable,
                                 EmptyGraphError, FormatError, TransEConfig,
                                 UnknownIdError, ZeroVectorError, cosine_sim,
@@ -175,6 +176,100 @@ class TestTrainKgEmbeddings:
             hits_init, _ = link_prediction_eval(init, g, k=10)
             wins += int(hits_trained > hits_init)
         assert wins >= 4
+
+
+def reference_transe_epoch(ent, rel, heads, rels, tails, order, neg_sides,
+                           neg_entities, margin, lr, batch_size):
+    """Full-table epoch: zeroed [|V|, d] gradient buffer per batch, applied to
+    every entity row."""
+    n = order.shape[0]
+    k = neg_sides.shape[1]
+    tiny = 1e-12
+    loss_sum = 0.0
+    for b0 in range(0, n, batch_size):
+        idx = order[b0:b0 + batch_size]
+        b = idx.shape[0]
+        h, r, t = heads[idx], rels[idx], tails[idx]
+        pos_diff = ent[h] + rel[r] - ent[t]
+        d_pos = np.sqrt(np.sum(pos_diff * pos_diff, axis=1))
+        u_pos = pos_diff / np.maximum(d_pos, tiny)[:, None]
+        g_ent = np.zeros_like(ent)
+        g_rel = np.zeros_like(rel)
+        for kk in range(k):
+            side = neg_sides[b0:b0 + b, kk]
+            corrupt = neg_entities[b0:b0 + b, kk]
+            h_neg = np.where(side == 0, corrupt, h)
+            t_neg = np.where(side == 0, t, corrupt)
+            neg_diff = ent[h_neg] + rel[r] - ent[t_neg]
+            d_neg = np.sqrt(np.sum(neg_diff * neg_diff, axis=1))
+            hinge = margin + d_pos - d_neg
+            active = hinge > 0.0
+            if not np.any(active):
+                continue
+            loss_sum += float(np.sum(hinge[active]))
+            u_neg = neg_diff / np.maximum(d_neg, tiny)[:, None]
+            up = u_pos[active]
+            un = u_neg[active]
+            np.add.at(g_ent, h[active], up)
+            np.add.at(g_rel, r[active], up - un)
+            np.add.at(g_ent, t[active], -up)
+            np.add.at(g_ent, h_neg[active], -un)
+            np.add.at(g_ent, t_neg[active], un)
+        ent -= lr * g_ent
+        rel -= lr * g_rel
+    return loss_sum
+
+
+class TestTouchedRowUpdate:
+    """The epoch updates only the entity rows a batch touches; tables and
+    hinge traces must equal the full-table update's byte for byte."""
+
+    def train_both(self, monkeypatch, g, cfg, d=8):
+        fast = train_kg_embeddings(g, cfg, d)
+        monkeypatch.setattr(embeddings, "_transe_epoch", reference_transe_epoch)
+        slow = train_kg_embeddings(g, cfg, d)
+        monkeypatch.undo()
+        return fast, slow
+
+    def check(self, monkeypatch, g, cfg, d=8):
+        (a, ta), (b, tb) = self.train_both(monkeypatch, g, cfg, d)
+        assert a.entity_vecs.tobytes() == b.entity_vecs.tobytes()
+        assert a.relation_vecs.tobytes() == b.relation_vecs.tobytes()
+        assert np.array(ta).tobytes() == np.array(tb).tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_seeded_kg(self, monkeypatch, k):
+        cfg = TransEConfig(epochs=8, seed=2, batch_size=32, negatives_per_positive=k)
+        self.check(monkeypatch, seeded_kg_50(), cfg, d=16)
+
+    def test_self_loops_with_two_negatives(self, monkeypatch):
+        named = [(f"e{i}", "same_as", f"e{i}") for i in range(6)]
+        named += [(f"e{i}", "next", f"e{(i + 1) % 6}") for i in range(6)]
+        g, _ = from_named_triples(named)
+        cfg = TransEConfig(epochs=6, seed=4, batch_size=4, negatives_per_positive=2)
+        self.check(monkeypatch, g, cfg)
+
+    def test_entity_both_head_and_corrupt_tail(self, monkeypatch):
+        # three entities and batches of 8: every batch has entities that are
+        # heads and also drawn as corrupt tails
+        named = [("a", "r", "b"), ("b", "r", "c"), ("c", "r", "a"), ("a", "s", "a"),
+                 ("b", "s", "a"), ("c", "s", "b")]
+        g, _ = from_named_triples(named)
+        ent = np.random.default_rng(0).normal(size=(3, 4))
+        rel = np.random.default_rng(1).normal(size=(2, 4))
+        heads, rels, tails = embeddings._triple_arrays(g)
+        order = np.arange(6, dtype=np.int64)
+        sides = np.array([[1, 0]] * 6, dtype=np.int64)
+        corrupts = np.array([[0, 1], [0, 2], [1, 0], [2, 0], [0, 1], [1, 2]], dtype=np.int64)
+        assert any(corrupts[i, 0] == heads[i] for i in range(6))  # head == corrupt tail
+        args = (heads, rels, tails, order, sides, corrupts, 4.0, 0.1, 8)
+        ent_a, rel_a, ent_b, rel_b = ent.copy(), rel.copy(), ent.copy(), rel.copy()
+        loss_a = embeddings._transe_epoch(ent_a, rel_a, *args)
+        loss_b = reference_transe_epoch(ent_b, rel_b, *args)
+        assert loss_a > 0 and loss_a == loss_b
+        assert ent_a.tobytes() == ent_b.tobytes()
+        assert rel_a.tobytes() == rel_b.tobytes()
+        assert not np.array_equal(ent_a, ent)
 
 
 def seeded_kg_50():

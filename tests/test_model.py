@@ -8,6 +8,7 @@ from kgt5lab.autodiff import Tensor, concat_rows, cross_entropy_mean, grad_check
 from kgt5lab.embeddings import EmbeddingTable
 from kgt5lab.model import (AugmentedInput, BOS_ID, EOS_ID, EmptyCorpusError,
                            EncoderInput, FIRST_REGULAR_ID, MissingBOSError,
+                           PackedEncoderInput,
                            ModelConfig, ModelParams, N_SENTINELS, SEP_ID,
                            TooLongError, TooManySpansError, UNK_ID, Vocabulary,
                            build_augmented_input, build_vocab,
@@ -291,6 +292,72 @@ class TestForward:
         la = forward(params, enc_a, [BOS_ID, 44], train_mode=False, seed=0).data
         lb = forward(params_nokgs, enc_b, [BOS_ID, 44], train_mode=False, seed=0).data
         assert np.array_equal(la, lb)
+
+
+PACKED_AUGS = [AugmentedInput([40, 41, 42], [1, 2], [0], "both"),
+               AugmentedInput([43], [], [], "both"),
+               AugmentedInput([44, 45, 46, 47, 48], [3], [], "entity"),
+               AugmentedInput([49, 50], [4], [1, 2], "relation")]
+PACKED_DEC = [[BOS_ID, 43, 44], [BOS_ID], [BOS_ID, 45, 46, 47], [BOS_ID, 48]]
+
+
+class TestPackedBatch:
+    def test_rows_follow_per_example_layout(self):
+        cfg, params, emb = tiny_setup()
+        packed = build_augmented_input(PACKED_AUGS, emb, params)
+        assert isinstance(packed, PackedEncoderInput)
+        singles = [build_augmented_input(a, emb, params) for a in PACKED_AUGS]
+        assert packed.lengths == tuple(e.length for e in singles)
+        assert packed.n_text == (3, 1, 5, 2)
+        assert np.allclose(packed.rows.data,
+                           np.concatenate([e.rows.data for e in singles]),
+                           rtol=1e-14, atol=1e-16)
+
+    def test_logits_match_per_example_forward(self):
+        cfg, params, emb = tiny_setup()
+        packed = forward(params, build_augmented_input(PACKED_AUGS, emb, params),
+                         PACKED_DEC, train_mode=False, seed=[0] * 4).data
+        singles = np.concatenate([
+            forward(params, build_augmented_input(a, emb, params), ids,
+                    train_mode=False, seed=0).data
+            for a, ids in zip(PACKED_AUGS, PACKED_DEC)])
+        assert np.allclose(packed, singles, rtol=1e-12, atol=1e-12)
+
+    def test_examples_do_not_see_each_other(self):
+        # with dropout on, changing the third example's tokens and linked
+        # entity leaves every other example's logits bit-identical
+        cfg, params, emb = tiny_setup()
+        seeds = [11, 12, 13, 14]
+        base = forward(params, build_augmented_input(PACKED_AUGS, emb, params),
+                       PACKED_DEC, train_mode=True, seed=seeds).data
+        augs = list(PACKED_AUGS)
+        augs[2] = AugmentedInput([51, 52, 53, 54, 55], [5], [], "entity")
+        other = forward(params, build_augmented_input(augs, emb, params), PACKED_DEC,
+                        train_mode=True, seed=seeds).data
+        third = slice(4, 8)  # its decoder rows
+        assert np.array_equal(np.delete(base, third, axis=0),
+                              np.delete(other, third, axis=0))
+        assert not np.array_equal(base[third], other[third])
+
+    def test_only_each_example_is_bounded_by_max_len(self):
+        cfg, params, emb = tiny_setup()
+        augs = [AugmentedInput([40] * 20, [], [], "none")] * 3  # 60 rows > max_len 32
+        enc = build_augmented_input(augs, emb, params)
+        dec = [[BOS_ID] + [41] * 12] * 3  # 39 rows > max_len 32
+        logits = forward(params, enc, dec, train_mode=True, seed=[1, 2, 3])
+        assert logits.shape == (39, cfg.vocab_size)
+        with pytest.raises(TooLongError):
+            build_augmented_input(augs + [AugmentedInput([40] * 33, [], [], "none")],
+                                  emb, params)
+        with pytest.raises(TooLongError):
+            forward(params, enc, [[BOS_ID, 41], [BOS_ID] + [41] * 32, [BOS_ID]],
+                    train_mode=True, seed=[1, 2, 3])
+
+    def test_every_example_needs_bos(self):
+        cfg, params, emb = tiny_setup()
+        enc = build_augmented_input(PACKED_AUGS, emb, params)
+        with pytest.raises(MissingBOSError):
+            forward(params, enc, PACKED_DEC[:3] + [[48]], train_mode=False, seed=[0] * 4)
 
 
 def reference_decode(params, enc, max_steps):

@@ -6,15 +6,25 @@ import math
 import numpy as np
 import pytest
 
-from kgt5lab.autodiff import Tape, Tensor, backward
+from dataclasses import replace
+
+from kgt5lab import trainer
+from kgt5lab.autodiff import (Tape, Tensor, add, backward, cosine_similarity,
+                              cross_entropy_mean, gather_rows, reshape,
+                              scalar_mul)
 from kgt5lab.data import SyntheticKGSpec, gen_qa, gen_synthetic_kg
 from kgt5lab.embeddings import EmbeddingTable, ZeroVectorError, cosine_sim
-from kgt5lab.model import ModelConfig, ModelParams, build_vocab
-from kgt5lab.trainer import (AdamState, BadMagicError, CheckpointShapeError,
-                             EmptyDatasetError, LossSpec, TrainConfig,
+from kgt5lab.model import (BOS_ID, PAD_ID, EncoderInput, ModelConfig,
+                           ModelParams, build_augmented_input, build_vocab,
+                           forward, span_corrupt)
+from kgt5lab.trainer import (AdamState, BadMagicError, CheckpointHeaderError,
+                             CheckpointLayoutError, CheckpointShapeError,
+                             EmptyDatasetError, LossSpec,
+                             NonFiniteTrainingError, TrainConfig,
                              TruncatedFileError, VersionUnsupportedError,
                              adam_step, finetune, load_checkpoint, loss_prime,
-                             pretrain, save_checkpoint, sim_term)
+                             prepare_examples, pretrain, save_checkpoint,
+                             sim_term)
 
 
 def small_world(n_people=12, n_cities=4, n_countries=2, seed=0):
@@ -75,6 +85,192 @@ class TestSimTerm:
         assert np.any(ent.grad[2] != 0)
         assert np.all(ent.grad[0] == 0)
         assert np.any(rel.grad[0] != 0)
+
+
+def reference_sim_term(emb, entities, relations):
+    """The per-(entity, relation) double loop of 1-D cosine nodes."""
+    if not entities or not relations:
+        return Tensor(0.0)
+    ent_t, rel_t = emb
+    d = ent_t.data.shape[1]
+    total = None
+    for e in entities:
+        ve = reshape(gather_rows(ent_t, [e]), (d,))
+        for r in relations:
+            vr = reshape(gather_rows(rel_t, [r]), (d,))
+            c = cosine_similarity(ve, vr)
+            total = c if total is None else add(total, c)
+    return scalar_mul(total, 1.0 / (len(entities) * len(relations)))
+
+
+def reference_mean(parts):
+    total = parts[0]
+    for p in parts[1:]:
+        total = add(total, p)
+    return scalar_mul(total, 1.0 / len(parts))
+
+
+class TestBatchSimTerm:
+    def test_row_wise_equals_double_loop(self):
+        rng = np.random.default_rng(11)
+        ent = Tensor(rng.normal(size=(9, 6)))
+        rel = Tensor(rng.normal(size=(4, 6)))
+        lists = [([0, 3, 5], [1, 2]), ([], [0]), ([8], [3]), ([1, 2], []),
+                 ([4, 4, 7], [0, 1, 2, 3])]
+        want = reference_mean([reference_sim_term((ent, rel), e, r) for e, r in lists]).item()
+        got = sim_term((ent, rel), [x for e, _ in lists for x in e],
+                       [x for _, r in lists for x in r],
+                       counts=[(len(e), len(r)) for e, r in lists]).item()
+        assert got == pytest.approx(want, rel=1e-15, abs=1e-15)
+
+    def test_no_pair_in_batch_is_constant_zero(self):
+        emb = random_emb(3, 2)
+        out = sim_term(emb, [0, 1], [1], counts=[(2, 0), (0, 1)])
+        assert out.item() == 0.0 and out.node is None
+
+    def test_zero_row_raises(self):
+        ent = Tensor(np.array([[1.0, 0.0], [0.0, 0.0]]))
+        rel = Tensor(np.array([[1.0, 1.0]]))
+        with pytest.raises(ZeroVectorError):
+            sim_term((ent, rel), [0, 1], [0, 0], counts=[(1, 1), (1, 1)])
+
+
+def reference_finetune_loss(params, examples, ent_t, rel_t, sim_weight, seed, step):
+    """One fine-tune step's (L, Sim, L') built one example at a time."""
+    ce_parts, sim_parts = [], []
+    for slot, ex in enumerate(examples):
+        enc = build_augmented_input(ex.aug, (ent_t, rel_t), params)
+        logits = forward(params, enc, ex.decoder_in, train_mode=True,
+                         seed=trainer._mix(seed, "fwd", step, slot))
+        ce_parts.append(cross_entropy_mean(logits, ex.target, ignore_id=PAD_ID))
+        sim_parts.append(reference_sim_term((ent_t, rel_t), ex.aug.sim_entity_ids,
+                                            ex.aug.sim_relation_ids))
+    base = reference_mean(ce_parts)
+    sim = reference_mean(sim_parts)
+    return base, sim, loss_prime(base, sim, sim_weight)
+
+
+def reference_pretrain_loss(params, corpus_ids, batch, seed, step):
+    """One pretrain step's loss built one example at a time."""
+    losses = []
+    for slot, ex in enumerate(batch):
+        inp, tgt = span_corrupt(list(corpus_ids[ex]), 0.15, 3.0,
+                                seed=trainer._mix(seed, "corrupt", step, slot))
+        enc = EncoderInput(rows=gather_rows(params["tok_emb"], inp),
+                           n_text=len(inp), mask=np.ones(len(inp)))
+        logits = forward(params, enc, [BOS_ID] + tgt[:-1], train_mode=True,
+                         seed=trainer._mix(seed, "fwd", step, slot))
+        losses.append(cross_entropy_mean(logits, tgt, ignore_id=PAD_ID))
+    return reference_mean(losses)
+
+
+def run_step(loss_fn, tensors):
+    """Loss values and every gradient of one taped step."""
+    for t in tensors.values():
+        t.grad = None
+    with Tape() as tape:
+        values = loss_fn()
+        values = values if isinstance(values, tuple) else (values,)
+        backward(tape, values[-1])
+    grads = {n: (np.zeros_like(t.data) if t.grad is None else t.grad.copy())
+             for n, t in tensors.items()}
+    return [v.item() for v in values], grads
+
+
+def assert_step_parity(packed, reference):
+    (vals_p, grads_p), (vals_r, grads_r) = packed, reference
+    for a, b in zip(vals_p, vals_r):
+        assert a == pytest.approx(b, rel=1e-12, abs=1e-300)
+    for name, g in grads_r.items():
+        assert np.max(np.abs(grads_p[name] - g)) <= 1e-12 * np.max(np.abs(g)), name
+
+
+class TestPackedStep:
+    """A packed step equals the per-example step up to summation order."""
+
+    @pytest.mark.parametrize("variant", ["none", "entity", "relation", "both"])
+    @pytest.mark.parametrize("batch", [[0, 8, 16, 1, 9, 17, 2, 13], [5], [9, 14, 21]])
+    def test_finetune_step_matches_per_example(self, variant, batch):
+        kg, corpus, dataset, vocab = small_world()
+        _, params = tiny_model(vocab)  # dropout on
+        emb = random_emb(kg.n_entities, kg.n_relations)
+        prepared = prepare_examples(dataset, kg, vocab, variant)
+        examples = [prepared[i] for i in batch]
+        if len(batch) > 1:
+            # a longer answer, so decoder lengths differ too
+            ans = examples[0].decoder_in[1:] + examples[0].aug.question_ids[:2]
+            examples[0] = replace(examples[0], decoder_in=[BOS_ID] + ans,
+                                  target=ans + [examples[0].target[-1]])
+            assert len({len(ex.aug.question_ids) for ex in examples}) > 1
+        if len(batch) == 3:  # one example links nothing, one has a PAD target
+            examples[1] = replace(examples[1], aug=replace(
+                examples[1].aug, entity_ids=[], relation_ids=[]))
+            examples[2] = replace(examples[2], decoder_in=examples[2].decoder_in + [7],
+                                  target=[PAD_ID] + examples[2].target)
+        ent_t = Tensor(emb.entity_vecs.copy(), requires_grad=True)
+        rel_t = Tensor(emb.relation_vecs.copy(), requires_grad=True)
+        tensors = {**params.tensors, "kg.ent": ent_t, "kg.rel": rel_t}
+        packed = run_step(lambda: trainer._finetune_loss(
+            params, examples, ent_t, rel_t, LossSpec(-0.1), 3, 2), tensors)
+        reference = run_step(lambda: reference_finetune_loss(
+            params, examples, ent_t, rel_t, -0.1, 3, 2), tensors)
+        assert_step_parity(packed, reference)
+        if variant != "none":
+            assert np.any(packed[1]["kg.ent"] != 0)
+
+    @pytest.mark.parametrize("batch", [list(range(8)), [4], [3, 11, 6]])
+    def test_pretrain_step_matches_per_example(self, batch):
+        kg, corpus, dataset, vocab = small_world()
+        _, params = tiny_model(vocab)
+        ids = [vocab.encode(s) for s in corpus]
+        packed = run_step(lambda: trainer._pretrain_loss(
+            params, ids, batch, 5, 1, 0.15, 3.0), params.tensors)
+        reference = run_step(lambda: reference_pretrain_loss(
+            params, ids, batch, 5, 1), params.tensors)
+        assert_step_parity(packed, reference)
+
+
+class TestNonFiniteTraining:
+    def poisoned(self, vocab):
+        _, params = tiny_model(vocab)
+        params.tensors["out_proj"].data[3, 7] = np.nan
+        return params
+
+    def test_pretrain_raises_at_step_zero(self):
+        kg, corpus, dataset, vocab = small_world()
+        params = self.poisoned(vocab)
+        before = params.tensors["tok_emb"].data.copy()
+        with pytest.raises(NonFiniteTrainingError) as info:
+            pretrain(params, [vocab.encode(s) for s in corpus], TrainConfig(max_steps=3))
+        assert info.value.step == 0 and info.value.sim is None
+        assert math.isnan(info.value.loss)
+        assert np.array_equal(params.tensors["tok_emb"].data, before)  # no update
+
+    def test_finetune_raises_at_step_zero(self):
+        kg, corpus, dataset, vocab = small_world()
+        params = self.poisoned(vocab)
+        emb = random_emb(kg.n_entities, kg.n_relations)
+        with pytest.raises(NonFiniteTrainingError) as info:
+            finetune(params, dataset, kg, emb, LossSpec(), "both",
+                     TrainConfig(max_steps=3), vocab)
+        err = info.value
+        assert err.step == 0 and math.isnan(err.loss) and math.isfinite(err.sim)
+        assert "step 0" in str(err)
+
+    def test_clipping_reuses_the_checked_norm(self, monkeypatch):
+        kg, corpus, dataset, vocab = small_world()
+        ids = [vocab.encode(s) for s in corpus]
+        calls = []
+        norm = trainer.global_norm
+
+        def counting(*args):
+            calls.append(1)
+            return norm(*args)
+
+        monkeypatch.setattr(trainer, "global_norm", counting)
+        _, params = tiny_model(vocab)
+        pretrain(params, ids, TrainConfig(max_steps=3, grad_clip_norm=1.0))
+        assert len(calls) == 3
 
 
 class TestLossPrime:
@@ -366,4 +562,75 @@ class TestCheckpoint:
         path.write_bytes(blob[:12] + struct.pack("<I", len(new_hdr)) + new_hdr
                          + blob[16 + hdr_len:])
         with pytest.raises(CheckpointShapeError):
+            load_checkpoint(path)
+
+    def rewrite(self, path, edit_header=None, tail=b""):
+        import json
+        import struct
+        blob = path.read_bytes()
+        hdr_len = struct.unpack_from("<I", blob, 12)[0]
+        header = json.loads(blob[16:16 + hdr_len])
+        if edit_header is not None:
+            edit_header(header)
+        new_hdr = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+        path.write_bytes(blob[:12] + struct.pack("<I", len(new_hdr)) + new_hdr
+                         + blob[16 + hdr_len:] + tail)
+
+    def saved(self, tmp_path):
+        params, emb, configs = self.roundtrip_setup()
+        path = tmp_path / "x.ckpt"
+        save_checkpoint(params, emb, configs, path)
+        return path
+
+    def test_trailing_bytes(self, tmp_path):
+        path = self.saved(tmp_path)
+        self.rewrite(path, tail=b"\0" * 8)
+        with pytest.raises(CheckpointLayoutError, match="trailing"):
+            load_checkpoint(path)
+
+    def test_overlapping_offsets(self, tmp_path):
+        path = self.saved(tmp_path)
+
+        def overlap(header):
+            header["tensors"][1]["offset"] -= 8
+
+        self.rewrite(path, overlap)
+        with pytest.raises(CheckpointLayoutError):
+            load_checkpoint(path)
+
+    def test_out_of_order_offsets(self, tmp_path):
+        path = self.saved(tmp_path)
+
+        def swap(header):
+            t = header["tensors"]
+            t[0]["offset"], t[1]["offset"] = t[1]["offset"], t[0]["offset"]
+
+        self.rewrite(path, swap)
+        with pytest.raises(CheckpointLayoutError):
+            load_checkpoint(path)
+
+    def test_unknown_tensor_name(self, tmp_path):
+        path = self.saved(tmp_path)
+
+        def rename(header):
+            header["tensors"][0]["name"] = "model.not_a_parameter"
+
+        self.rewrite(path, rename)
+        with pytest.raises(CheckpointShapeError, match="unknown"):
+            load_checkpoint(path)
+
+    def test_header_not_utf8(self, tmp_path):
+        path = self.saved(tmp_path)
+        blob = bytearray(path.read_bytes())
+        blob[16] = 0xFF
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointHeaderError):
+            load_checkpoint(path)
+
+    def test_header_not_json(self, tmp_path):
+        path = self.saved(tmp_path)
+        blob = bytearray(path.read_bytes())
+        blob[16] = ord("#")
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointHeaderError):
             load_checkpoint(path)
