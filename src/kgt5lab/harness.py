@@ -15,7 +15,7 @@ import datetime
 import json
 import statistics
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import __version__
 from .data import (CATEGORIES, QAExample, SyntheticKGSpec, gen_qa,
@@ -108,6 +108,22 @@ def report_from(variant: str, fraction: float, seed: int,
         n_hop2=stats["hop2"][1], final_L=final_l, final_Sim=final_sim)
 
 
+def _pretrained_seeds(corpus: Sequence[str], dataset: Sequence[QAExample],
+                      exp: ExperimentConfig, seeds: Sequence[int]
+                      ) -> Iterator[tuple[int, Vocabulary, list[QAExample],
+                                          list[QAExample], ModelParams]]:
+    """Per seed, the setup both experiments share: (seed, vocabulary, train
+    split, test split, pretrained parameters)."""
+    vocab = build_vocabulary(corpus, dataset)
+    model_cfg = replace(exp.model, vocab_size=len(vocab))
+    corpus_ids = [vocab.encode(s) for s in corpus]
+    for seed in seeds:
+        train_set, test_set = split(dataset, exp.split_ratios, seed)
+        params0, _ = pretrain(ModelParams.init(model_cfg, seed), corpus_ids,
+                              replace(exp.pretrain, seed=seed))
+        yield seed, vocab, train_set, test_set, params0
+
+
 def run_ablation(kg: KnowledgeGraph, corpus: Sequence[str],
                  dataset: Sequence[QAExample], exp: ExperimentConfig,
                  seeds: Sequence[int]) -> list[MetricsReport]:
@@ -115,16 +131,11 @@ def run_ablation(kg: KnowledgeGraph, corpus: Sequence[str],
     fine-tune and evaluate on the held-out split."""
     if not seeds:
         raise ValueError("need at least one seed")
-    vocab = build_vocabulary(corpus, dataset)
-    model_cfg = replace(exp.model, vocab_size=len(vocab))
-    corpus_ids = [vocab.encode(s) for s in corpus]
     reports: list[MetricsReport] = []
-    for seed in seeds:
-        train_set, test_set = split(dataset, exp.split_ratios, seed)
+    for seed, vocab, train_set, test_set, params0 in _pretrained_seeds(
+            corpus, dataset, exp, seeds):
         emb0, _ = train_kg_embeddings(kg, replace(exp.transe, seed=seed),
-                                      model_cfg.d_kg)
-        params0 = ModelParams.init(model_cfg, seed)
-        params0, _ = pretrain(params0, corpus_ids, replace(exp.pretrain, seed=seed))
+                                      exp.model.d_kg)
         for variant in VARIANTS:
             params = params0.copy()
             params, emb_v, trace = finetune(
@@ -150,18 +161,13 @@ def run_scale_sweep(kg: KnowledgeGraph, corpus: Sequence[str],
     for f in fractions:
         if not (0.0 < f <= 1.0):
             raise InvalidFractionError(f"fraction {f} outside (0, 1]")
-    vocab = build_vocabulary(corpus, dataset)
-    model_cfg = replace(exp.model, vocab_size=len(vocab))
-    corpus_ids = [vocab.encode(s) for s in corpus]
     reports: list[MetricsReport] = []
-    for seed in seeds:
-        train_set, test_set = split(dataset, exp.split_ratios, seed)
-        params0 = ModelParams.init(model_cfg, seed)
-        params0, _ = pretrain(params0, corpus_ids, replace(exp.pretrain, seed=seed))
+    for seed, vocab, train_set, test_set, params0 in _pretrained_seeds(
+            corpus, dataset, exp, seeds):
         for fraction in fractions:
             sub = subgraph_fraction(kg, fraction, seed)
             emb_f, _ = train_kg_embeddings(sub, replace(exp.transe, seed=seed),
-                                           model_cfg.d_kg)
+                                           exp.model.d_kg)
             params = params0.copy()
             params, emb_v, trace = finetune(
                 params, train_set, sub, emb_f, exp.loss, "both",

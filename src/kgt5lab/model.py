@@ -8,12 +8,13 @@ with a learned type embedding separating entity slots from relation slots.
 With variant ``none`` the encoder input is bit-identical to a model with no
 KG machinery at all.
 
-Training packs a batch into one encoder and one decoder sequence.
-Block-diagonal additive masks keep every example to itself: encoder rows
-attend only to their own example's rows, decoder rows causally to their own
-example's prefix and across only to their own example's encoder rows.  The
-relative-position indices are block-diagonal too, with no bias between
-examples.
+Training packs a batch into one encoder and one decoder sequence, and
+evaluation builds each question's encoder input with the same builder, as a
+pack of one.  Block-diagonal additive masks keep every example to itself:
+encoder rows attend only to their own example's rows, decoder rows causally
+to their own example's prefix and across only to their own example's encoder
+rows.  The relative-position indices are block-diagonal too, with no bias
+between examples.
 """
 
 from __future__ import annotations
@@ -323,28 +324,10 @@ class ModelParams:
 
 @dataclass
 class EncoderInput:
-    """Encoder input rows [L, d_model], the text-position count, and a mask
-    (1 = attendable) over the L rows."""
-
-    rows: Tensor
-    n_text: int
-    mask: np.ndarray
-
-    @property
-    def length(self) -> int:
-        return self.rows.data.shape[0]
-
-    @property
-    def segments(self) -> tuple[tuple[int, int], ...]:
-        """(text-position count, row count) of each example: just this one."""
-        return ((self.n_text, self.length),)
-
-
-@dataclass
-class PackedEncoderInput:
-    """A batch of encoder inputs back to back: example i owns ``lengths[i]``
-    consecutive rows of ``rows``, the first ``n_text[i]`` of them text;
-    ``mask`` is the examples' masks concatenated."""
+    """Encoder inputs of a batch back to back: example i owns ``lengths[i]``
+    consecutive rows of ``rows`` [sum(lengths), d_model], the first
+    ``n_text[i]`` of them text; ``mask`` (1 = attendable) covers every row.
+    A single question is a batch of one."""
 
     rows: Tensor
     n_text: tuple[int, ...]
@@ -356,7 +339,8 @@ class PackedEncoderInput:
         return tuple(zip(self.n_text, self.lengths))
 
 
-def _kg_row_tensors(emb) -> tuple[Tensor, Tensor]:
+def kg_row_tensors(emb) -> tuple[Tensor, Tensor]:
+    """The (entity, relation) Tensors of an EmbeddingTable or of such a pair."""
     if isinstance(emb, EmbeddingTable):
         return Tensor(emb.entity_vecs), Tensor(emb.relation_vecs)
     ent, rel = emb
@@ -364,66 +348,37 @@ def _kg_row_tensors(emb) -> tuple[Tensor, Tensor]:
 
 
 def build_augmented_input(a: AugmentedInput | Sequence[AugmentedInput], emb,
-                          params: ModelParams) -> EncoderInput | PackedEncoderInput:
-    """Token rows of q, then SEP and projected KG rows per the variant.
+                          params: ModelParams) -> EncoderInput:
+    """Per example, token rows of q, then SEP and projected KG rows per the
+    variant; examples back to back.
 
-    ``emb`` is an EmbeddingTable or a (entity, relation) pair of Tensors
-    (the trainable path).  With variant ``none`` the result is bit-identical
-    to a plain token-embedding lookup.  ``a`` is one AugmentedInput, giving
-    an EncoderInput, or a training batch of them, giving the
-    PackedEncoderInput built by one token lookup and one KG projection.
+    ``a`` is one AugmentedInput (a batch of one) or a batch of them.  ``emb``
+    is an EmbeddingTable or a (entity, relation) pair of Tensors (the
+    trainable path).  All token rows come from one lookup and all KG rows
+    from one projection; one row gather interleaves the two.  With variant
+    ``none`` an example's rows are bit-identical to a plain token-embedding
+    lookup.
     """
-    if not isinstance(a, AugmentedInput):
-        return _pack_augmented_inputs(a, emb, params)
-    cfg = params.config
-    tok_emb = params["tok_emb"]
-    q_rows = gather_rows(tok_emb, a.question_ids)
-    n = len(a.question_ids)
-    ents, rels = a.input_entity_ids, a.input_relation_ids
-    if a.variant == "none":
-        length = n
-        if length > cfg.max_len:
-            raise TooLongError(f"encoder input length {length} > max_len {cfg.max_len}")
-        return EncoderInput(rows=q_rows, n_text=n, mask=np.ones(length))
-    length = n + 1 + len(ents) + len(rels)
-    if length > cfg.max_len:
-        raise TooLongError(f"encoder input length {length} > max_len {cfg.max_len}")
-    ent_t, rel_t = _kg_row_tensors(emb)
-    parts = [q_rows, gather_rows(tok_emb, [SEP_ID])]
-    kg_proj, kg_type = params["kg_proj"], params["kg_type"]
-    if ents:
-        type_rows = gather_rows(kg_type, [0] * len(ents))
-        parts.append(add(matmul(gather_rows(ent_t, ents), kg_proj), type_rows))
-    if rels:
-        type_rows = gather_rows(kg_type, [1] * len(rels))
-        parts.append(add(matmul(gather_rows(rel_t, rels), kg_proj), type_rows))
-    return EncoderInput(rows=concat_rows(parts), n_text=n, mask=np.ones(length))
-
-
-def _pack_augmented_inputs(augs: Sequence[AugmentedInput], emb,
-                           params: ModelParams) -> PackedEncoderInput:
-    """Each example's rows laid out as ``build_augmented_input`` lays them
-    out, examples back to back.  All token rows come from one lookup and all
-    KG rows from one projection; one row gather interleaves the two."""
+    augs = [a] if isinstance(a, AugmentedInput) else a
     cfg = params.config
     tok_ids: list[int] = []
     ents: list[int] = []
     rels: list[int] = []
     counts: list[tuple[int, int, int]] = []  # token, entity, relation rows
-    for a in augs:
-        sep = [] if a.variant == "none" else [SEP_ID]
-        tok_ids += a.question_ids + sep
-        ents += a.input_entity_ids
-        rels += a.input_relation_ids
-        counts.append((len(a.question_ids) + len(sep), len(a.input_entity_ids),
-                       len(a.input_relation_ids)))
+    for aug in augs:
+        sep = [] if aug.variant == "none" else [SEP_ID]
+        tok_ids += aug.question_ids + sep
+        ents += aug.input_entity_ids
+        rels += aug.input_relation_ids
+        counts.append((len(aug.question_ids) + len(sep), len(aug.input_entity_ids),
+                       len(aug.input_relation_ids)))
     lengths = tuple(sum(c) for c in counts)
     for length in lengths:
         if length > cfg.max_len:
             raise TooLongError(f"encoder input length {length} > max_len {cfg.max_len}")
     rows = gather_rows(params["tok_emb"], tok_ids)
     if ents or rels:
-        ent_t, rel_t = _kg_row_tensors(emb)
+        ent_t, rel_t = kg_row_tensors(emb)
         kg_in = ([gather_rows(ent_t, ents)] if ents else []) + \
             ([gather_rows(rel_t, rels)] if rels else [])
         kg_in = kg_in[0] if len(kg_in) == 1 else concat_rows(kg_in)
@@ -436,8 +391,8 @@ def _pack_augmented_inputs(augs: Sequence[AugmentedInput], emb,
             order += [*range(t0, t0 + n_tok), *range(e0, e0 + n_e), *range(r0, r0 + n_r)]
             t0, e0, r0 = t0 + n_tok, e0 + n_e, r0 + n_r
         rows = gather_rows(concat_rows([rows, kg]), order)
-    return PackedEncoderInput(rows=rows, n_text=tuple(len(a.question_ids) for a in augs),
-                              lengths=lengths, mask=np.ones(sum(lengths)))
+    return EncoderInput(rows=rows, n_text=tuple(len(aug.question_ids) for aug in augs),
+                        lengths=lengths, mask=np.ones(sum(lengths)))
 
 
 # ---------------------------------------------------------------------------
@@ -477,8 +432,8 @@ def _mask_to_additive(mask: np.ndarray, n_rows: int) -> Optional[np.ndarray]:
 def _block_diag(blocks: Sequence[Optional[np.ndarray]],
                 shapes: Sequence[tuple[int, int]], fill) -> Optional[np.ndarray]:
     """Block i (None: zeros) of shape ``shapes[i]`` on the diagonal, ``fill``
-    elsewhere.  A lone block is returned as it is, so a batch of one uses
-    the cached per-example arrays."""
+    elsewhere.  A lone block is returned as it is, so a batch of one (every
+    decode step) uses the cached per-example arrays."""
     if len(blocks) == 1:
         return blocks[0]
     out = np.full((sum(r for r, _ in shapes), sum(c for _, c in shapes)), fill)
@@ -498,15 +453,12 @@ def _streams(rngs, rows: Sequence[int], cols: Optional[Sequence[int]] = None):
     Generator per example; None stays None."""
     if rngs is None:
         return None
-    if len(rngs) == 1:
-        return rngs[0]
     return Streams(rngs, _offsets(rows), None if cols is None else _offsets(cols))
 
 
 def _example_masks(mask: np.ndarray, lengths: Sequence[int]) -> list[np.ndarray]:
-    if len(lengths) == 1:
-        return [mask]
-    return np.split(mask, _offsets(lengths)[1:-1])
+    offsets = _offsets(lengths)
+    return [mask[lo:hi] for lo, hi in zip(offsets, offsets[1:])]
 
 
 def _project_kv(params: ModelParams, prefix: str, x: Tensor) -> tuple[Tensor, Tensor]:
@@ -531,8 +483,7 @@ def _ffn(params: ModelParams, prefix: str, x: Tensor) -> Tensor:
     return matmul(gelu(matmul(x, params[f"{prefix}.w1"])), params[f"{prefix}.w2"])
 
 
-def encode(params: ModelParams, enc_input: EncoderInput | PackedEncoderInput,
-           rng, train: bool) -> Tensor:
+def encode(params: ModelParams, enc_input: EncoderInput, rng, train: bool) -> Tensor:
     """Encoder output rows; ``rng`` is None or one dropout Generator per example."""
     cfg = params.config
     segments = enc_input.segments
@@ -563,8 +514,7 @@ def _cross_kv(params: ModelParams, enc_out: Tensor) -> list[tuple[Tensor, Tensor
 
 def _decode_stack(params: ModelParams, decoder_ids: Sequence[int],
                   dec_lengths: Sequence[int], cross_kv: list[tuple[Tensor, Tensor]],
-                  enc_input: EncoderInput | PackedEncoderInput, rng,
-                  train: bool) -> Tensor:
+                  enc_input: EncoderInput, rng, train: bool) -> Tensor:
     """Logits [len(decoder_ids), vocab] of the decoder stack over whole
     prefixes, attending to the encoder through each layer's ``cross_kv``.
 
@@ -599,27 +549,24 @@ def _decode_stack(params: ModelParams, decoder_ids: Sequence[int],
     return matmul(rms_norm(y, params["dec_norm"]), params["out_proj"])
 
 
-def _check_encoder_length(params: ModelParams,
-                          enc_input: EncoderInput | PackedEncoderInput) -> None:
+def _check_encoder_length(params: ModelParams, enc_input: EncoderInput) -> None:
     for _, length in enc_input.segments:
         if length > params.config.max_len:
             raise TooLongError(f"encoder length {length} > max_len "
                                f"{params.config.max_len}")
 
 
-def forward(params: ModelParams, enc_input: EncoderInput | PackedEncoderInput,
+def forward(params: ModelParams, enc_input: EncoderInput,
             decoder_ids, train_mode: bool, seed) -> Tensor:
-    """Teacher-forced logits [len(decoder_ids), vocab] of one example.
+    """Teacher-forced logits of a batch, the examples' rows back to back.
 
-    A packed batch passes a PackedEncoderInput with one decoder id list and
-    one dropout seed per example; the logits are then the examples' rows
-    back to back.  Each example draws its dropout masks from its own seed
-    in the order it would alone, so packing changes only how sums round.
+    ``decoder_ids`` holds one id list and ``seed`` one dropout seed per
+    example of ``enc_input``; a batch of one may pass its flat id list and
+    an int seed.  Each example draws its dropout masks from its own seed in
+    the order it would alone, so packing changes only how sums round.
     """
     cfg = params.config
-    packed = isinstance(enc_input, PackedEncoderInput)
-    id_lists = decoder_ids if packed else [decoder_ids]
-    seeds = seed if packed else [seed]
+    id_lists, seeds = ([decoder_ids], [seed]) if np.isscalar(seed) else (decoder_ids, seed)
     if not len(id_lists) == len(seeds) == len(enc_input.segments):
         raise ValueError("need one decoder id list and one seed per example")
     for ids in id_lists:
@@ -639,15 +586,18 @@ def greedy_decode(params: ModelParams, enc_input: EncoderInput,
                   max_steps: int) -> list[int]:
     """Argmax decoding from BOS; stops at EOS or max_steps.
 
-    Returns the generated ids without BOS/EOS.  Ties resolve to the lowest
-    token id.  The question is encoded, and each layer's cross-attention
-    keys and values projected, once; every step re-runs only the decoder
-    stack over the whole prefix.  Each step's logits equal, bit for bit,
-    those of ``forward`` in eval mode: a single-row matmul is not bit-equal
-    to the same row of a multi-row one, so the prefix is not cached.
+    ``enc_input`` holds one example.  Returns the generated ids without
+    BOS/EOS.  Ties resolve to the lowest token id.  The question is encoded,
+    and each layer's cross-attention keys and values projected, once; every
+    step re-runs only the decoder stack over the whole prefix.  Each step's
+    logits equal, bit for bit, those of ``forward`` in eval mode: a
+    single-row matmul is not bit-equal to the same row of a multi-row one,
+    so the prefix is not cached.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
+    if len(enc_input.segments) != 1:
+        raise ValueError(f"greedy_decode takes one example, got {len(enc_input.segments)}")
     _check_encoder_length(params, enc_input)
     enc_out = encode(params, enc_input, None, False)
     cross_kv = _cross_kv(params, enc_out)

@@ -30,7 +30,8 @@ from .embeddings import EmbeddingTable, seed_seq
 from .kg import KnowledgeGraph, link_mentions
 from .model import (AugmentedInput, BOS_ID, EOS_ID, EmptyCorpusError,
                     ModelConfig, ModelParams, PAD_ID, Vocabulary,
-                    build_augmented_input, forward, span_corrupt, tokenize)
+                    build_augmented_input, forward, kg_row_tensors, span_corrupt,
+                    tokenize)
 
 CHECKPOINT_MAGIC = b"KGT5CKPT"
 CHECKPOINT_VERSION = 1
@@ -150,10 +151,7 @@ def sim_term(emb, entities: Sequence[int], relations: Sequence[int],
         e0, r0 = e0 + n_e, r0 + n_r
     if not pair_ents:
         return Tensor(0.0)
-    if isinstance(emb, EmbeddingTable):
-        ent_t, rel_t = Tensor(emb.entity_vecs), Tensor(emb.relation_vecs)
-    else:
-        ent_t, rel_t = emb
+    ent_t, rel_t = kg_row_tensors(emb)
     cos = cosine_similarity(gather_rows(ent_t, pair_ents), gather_rows(rel_t, pair_rels))
     return reduce_sum(mul(cos, Tensor(weights)))
 

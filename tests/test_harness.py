@@ -1,18 +1,22 @@
 """Metrics, experiment harness shape, report emission and manifest tests."""
 
+import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
+from kgt5lab import harness
 from kgt5lab.data import SyntheticKGSpec
-from kgt5lab.embeddings import TransEConfig
+from kgt5lab.embeddings import TransEConfig, init_embeddings
 from kgt5lab.harness import (CSV_COLUMNS, ExperimentConfig, MetricsReport,
-                             build_world, emit_report, exact_match,
+                             build_vocabulary, build_world, emit_report,
+                             evaluate_split, exact_match,
                              experiment_from_jsonable, experiment_to_jsonable,
                              make_manifest, parse_report_csv, render_markdown,
                              run_ablation, run_from_manifest, run_scale_sweep)
 from kgt5lab.kg import InvalidFractionError
-from kgt5lab.model import ModelConfig
+from kgt5lab.model import VARIANTS, ModelConfig, ModelParams
 from kgt5lab.trainer import LossSpec, TrainConfig
 
 
@@ -29,6 +33,43 @@ class TestExactMatch:
     def test_returns_int(self):
         assert exact_match("a", "a") == 1
         assert exact_match("a", "b") == 0
+
+
+# sha256 of the JSON list of greedy predictions per variant on the pinned
+# world, with weights and KG embeddings initialized from seed 0 and
+# decode_steps=4; perfbench/reference.json records the same digests for the
+# decode workload's first weight seed.
+GOLDEN_EVAL_DIGESTS = {
+    "none": "71b9937c8c287c3e000f31613997949be229d0f4c4f759c690d6d1227bc18100",
+    "entity": "723dd72450e2699d32a8650f1853356de465d7b698ebd740b11c8b968e8bd3f9",
+    "relation": "d834e4f041ea67c8f75f8b1dbf81ee468a8f1e86900601aee141d094de0991d6",
+    "both": "ece5178fa1cc89e0077aec46155f64784032af7a50070c1c35cad5143fddd7c7",
+}
+
+
+class TestEvalGolden:
+    def test_predictions_on_pinned_world(self, monkeypatch):
+        exp = ExperimentConfig()
+        kg, corpus, dataset = build_world(exp)
+        vocab = build_vocabulary(corpus, dataset)
+        cfg = replace(exp.model, vocab_size=len(vocab))
+        params = ModelParams.init(cfg, 0)
+        emb = init_embeddings(kg, cfg.d_kg, 0)
+        preds: list[list[int]] = []
+        decode = harness.greedy_decode
+
+        def recording(*args):
+            preds.append(decode(*args))
+            return preds[-1]
+
+        monkeypatch.setattr(harness, "greedy_decode", recording)
+        digests = {}
+        for variant in VARIANTS:
+            preds.clear()
+            evaluate_split(params, vocab, kg, emb, dataset, variant, decode_steps=4)
+            assert len(preds) == len(dataset)
+            digests[variant] = hashlib.sha256(json.dumps(preds).encode()).hexdigest()
+        assert digests == GOLDEN_EVAL_DIGESTS
 
 
 def tiny_experiment(max_steps=12, pre_steps=8):

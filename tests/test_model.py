@@ -8,7 +8,6 @@ from kgt5lab.autodiff import Tensor, concat_rows, cross_entropy_mean, grad_check
 from kgt5lab.embeddings import EmbeddingTable
 from kgt5lab.model import (AugmentedInput, BOS_ID, EOS_ID, EmptyCorpusError,
                            EncoderInput, FIRST_REGULAR_ID, MissingBOSError,
-                           PackedEncoderInput,
                            ModelConfig, ModelParams, N_SENTINELS, SEP_ID,
                            TooLongError, TooManySpansError, UNK_ID, Vocabulary,
                            build_augmented_input, build_vocab,
@@ -150,21 +149,21 @@ class TestBuildAugmentedInput:
         q = [40, 41, 42, 43, 44, 45, 46]
         aug = AugmentedInput(q, [1, 2], [0], "none")
         enc = build_augmented_input(aug, emb, params)
-        assert enc.length == 7
+        assert enc.lengths == (7,)
         assert np.array_equal(enc.rows.data, params["tok_emb"].data[q])
 
     def test_length_arithmetic_variant_both(self):
         cfg, params, emb = tiny_setup()
         aug = AugmentedInput([40] * 7, [1, 2], [0], "both")
         enc = build_augmented_input(aug, emb, params)
-        assert enc.length == 7 + 1 + 2 + 1
+        assert enc.lengths == (7 + 1 + 2 + 1,)
 
     def test_entity_variant_rows_match_matvec_oracle(self):
         cfg, params, emb = tiny_setup()
         q = [40] * 7
         aug = AugmentedInput(q, [1, 2], [0], "entity")
         enc = build_augmented_input(aug, emb, params)
-        assert enc.length == 10
+        assert enc.lengths == (10,)
         proj = params["kg_proj"].data
         type_e = params["kg_type"].data[0]
         for slot, ent in enumerate([1, 2]):
@@ -176,7 +175,7 @@ class TestBuildAugmentedInput:
         cfg, params, emb = tiny_setup()
         aug = AugmentedInput([40] * 5, [1, 2], [0, 1], "relation")
         enc = build_augmented_input(aug, emb, params)
-        assert enc.length == 5 + 1 + 2
+        assert enc.lengths == (5 + 1 + 2,)
         proj = params["kg_proj"].data
         type_r = params["kg_type"].data[1]
         expected = emb.relation_vecs[0] @ proj + type_r
@@ -196,7 +195,7 @@ class TestBuildAugmentedInput:
                         ("both", 7 + n_e + n_r)]:
                     enc = build_augmented_input(
                         AugmentedInput(variant=variant, **aug_base), emb, params)
-                    assert enc.length == expect, (variant, n_e, n_r)
+                    assert enc.lengths == (expect,), (variant, n_e, n_r)
 
     def test_too_long(self):
         cfg, params, emb = tiny_setup()
@@ -269,6 +268,7 @@ class TestForward:
                                     emb, params)
         junk = Tensor(np.full((1, cfg.d_model), 7.0))
         padded = EncoderInput(rows=concat_rows([enc.rows, junk]), n_text=enc.n_text,
+                              lengths=(enc.lengths[0] + 1,),
                               mask=np.append(enc.mask, 0.0))
         a = forward(params, enc, [BOS_ID, 43, 44], train_mode=False, seed=0).data
         b = forward(params, padded, [BOS_ID, 43, 44], train_mode=False, seed=0).data
@@ -305,9 +305,9 @@ class TestPackedBatch:
     def test_rows_follow_per_example_layout(self):
         cfg, params, emb = tiny_setup()
         packed = build_augmented_input(PACKED_AUGS, emb, params)
-        assert isinstance(packed, PackedEncoderInput)
+        assert isinstance(packed, EncoderInput)
         singles = [build_augmented_input(a, emb, params) for a in PACKED_AUGS]
-        assert packed.lengths == tuple(e.length for e in singles)
+        assert packed.lengths == sum((e.lengths for e in singles), ())
         assert packed.n_text == (3, 1, 5, 2)
         assert np.allclose(packed.rows.data,
                            np.concatenate([e.rows.data for e in singles]),
@@ -440,6 +440,7 @@ class TestGreedyDecode:
                                     emb, params)
         junk = Tensor(np.full((1, cfg.d_model), 7.0))
         padded = EncoderInput(rows=concat_rows([enc.rows, junk]), n_text=enc.n_text,
+                              lengths=(enc.lengths[0] + 1,),
                               mask=np.append(enc.mask, 0.0))
         self.check(monkeypatch, params, padded, 6)
 
@@ -453,13 +454,25 @@ class TestGreedyDecode:
     def test_too_long_encoder_input_raises_before_encoding(self, monkeypatch):
         cfg, params, emb = tiny_setup()
         enc = EncoderInput(rows=Tensor(np.zeros((cfg.max_len + 1, cfg.d_model))),
-                           n_text=cfg.max_len + 1, mask=np.ones(cfg.max_len + 1))
+                           n_text=(cfg.max_len + 1,), lengths=(cfg.max_len + 1,),
+                           mask=np.ones(cfg.max_len + 1))
 
         def no_encode(*args):
             raise AssertionError("encoder ran on an over-long input")
 
         monkeypatch.setattr(model, "encode", no_encode)
         with pytest.raises(TooLongError):
+            greedy_decode(params, enc, 4)
+
+    def test_batch_of_several_raises(self, monkeypatch):
+        cfg, params, emb = tiny_setup()
+        enc = build_augmented_input(PACKED_AUGS[:2], emb, params)
+
+        def no_encode(*args):
+            raise AssertionError("encoder ran on a batch of two")
+
+        monkeypatch.setattr(model, "encode", no_encode)
+        with pytest.raises(ValueError, match="one example"):
             greedy_decode(params, enc, 4)
 
     def test_builds_no_random_generator(self, monkeypatch):

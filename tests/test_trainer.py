@@ -156,8 +156,8 @@ def reference_pretrain_loss(params, corpus_ids, batch, seed, step):
     for slot, ex in enumerate(batch):
         inp, tgt = span_corrupt(list(corpus_ids[ex]), 0.15, 3.0,
                                 seed=trainer._mix(seed, "corrupt", step, slot))
-        enc = EncoderInput(rows=gather_rows(params["tok_emb"], inp),
-                           n_text=len(inp), mask=np.ones(len(inp)))
+        enc = EncoderInput(rows=gather_rows(params["tok_emb"], inp), n_text=(len(inp),),
+                           lengths=(len(inp),), mask=np.ones(len(inp)))
         logits = forward(params, enc, [BOS_ID] + tgt[:-1], train_mode=True,
                          seed=trainer._mix(seed, "fwd", step, slot))
         losses.append(cross_entropy_mean(logits, tgt, ignore_id=PAD_ID))
