@@ -352,14 +352,14 @@ def rms_norm(x: Tensor, gain: Tensor) -> Tensor:
     d = x.data.shape[-1]
     if gain.data.shape != (d,):
         raise ShapeMismatchError(f"rms_norm: gain {gain.data.shape} vs last dim {d}")
-    inv = 1.0 / np.sqrt(np.mean(x.data * x.data, axis=-1, keepdims=True) + RMS_EPS)
+    inv = 1.0 / np.sqrt(np.add.reduce(x.data * x.data, axis=-1, keepdims=True) / d + RMS_EPS)
     u = x.data * inv
     out = Tensor(u * gain.data)
 
     def bwd(g):
         gg = g * gain.data
         if x.requires_grad:
-            _acc_new(x, inv * (gg - u * np.mean(gg * u, axis=-1, keepdims=True)))
+            _acc_new(x, inv * (gg - u * (np.add.reduce(gg * u, axis=-1, keepdims=True) / d)))
         if gain.requires_grad:
             _acc_new(gain, np.sum(g * u, axis=tuple(range(g.ndim - 1))))
 

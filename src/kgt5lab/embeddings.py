@@ -131,13 +131,23 @@ def _transe_epoch(ent, rel, heads, rels, tails, order, neg_sides, neg_entities,
     head, 1 the tail).  Each active pair contributes a full lr-scaled
     subgradient; updates are accumulated within a batch and applied at its
     end.  Entity gradients accumulate only over the entity rows the batch
-    touches, each row receiving its additions in the same order as a
-    full-table buffer would, so the update is the same bit for bit.
+    touches.  Each batch sums its entity and its relation rows with one
+    ``np.bincount`` each, which adds in input order starting from zero; the
+    rows are listed in the order a zeroed full-table buffer would receive
+    them, so the update is the same bit for bit.
     """
     n = order.shape[0]
     k = neg_sides.shape[1]
+    d = ent.shape[1]
+    cols = np.arange(d)
     tiny = 1e-12
     loss_sum = 0.0
+
+    def scatter(rows, vals, n_rows):
+        """Sum the ``vals`` rows into an [n_rows, d] buffer, in input order."""
+        flat = (rows[:, None] * d + cols).ravel()
+        return np.bincount(flat, weights=vals.ravel(), minlength=n_rows * d).reshape(n_rows, d)
+
     for b0 in range(0, n, batch_size):
         idx = order[b0:b0 + batch_size]
         b = idx.shape[0]
@@ -155,8 +165,7 @@ def _transe_epoch(ent, rel, heads, rels, tails, order, neg_sides, neg_entities,
         pos_diff = ent[h] + rel[r] - ent[t]
         d_pos = np.sqrt(np.sum(pos_diff * pos_diff, axis=1))
         u_pos = pos_diff / np.maximum(d_pos, tiny)[:, None]
-        g_ent = np.zeros((touched.shape[0], ent.shape[1]))
-        g_rel = np.zeros_like(rel)
+        ent_rows, ent_vals, rel_rows, rel_vals = [], [], [], []
         for kk in range(k):
             neg_diff = ent[h_neg[:, kk]] + rel[r] - ent[t_neg[:, kk]]
             d_neg = np.sqrt(np.sum(neg_diff * neg_diff, axis=1))
@@ -168,11 +177,14 @@ def _transe_epoch(ent, rel, heads, rels, tails, order, neg_sides, neg_entities,
             u_neg = neg_diff / np.maximum(d_neg, tiny)[:, None]
             up = u_pos[active]
             un = u_neg[active]
-            np.add.at(g_ent, slot_h[active], up)
-            np.add.at(g_rel, r[active], up - un)
-            np.add.at(g_ent, slot_t[active], -up)
-            np.add.at(g_ent, slot_hn[kk][active], -un)
-            np.add.at(g_ent, slot_tn[kk][active], un)
+            ent_rows += [slot_h[active], slot_t[active], slot_hn[kk][active], slot_tn[kk][active]]
+            ent_vals += [up, -up, -un, un]
+            rel_rows.append(r[active])
+            rel_vals.append(up - un)
+        if not rel_rows:  # no active pair: the batch changes nothing
+            continue
+        g_ent = scatter(np.concatenate(ent_rows), np.concatenate(ent_vals), touched.shape[0])
+        g_rel = scatter(np.concatenate(rel_rows), np.concatenate(rel_vals), rel.shape[0])
         ent[touched] -= lr * g_ent
         rel -= lr * g_rel
     return loss_sum
@@ -293,12 +305,13 @@ def save_embeddings(emb: EmbeddingTable, entity_names, relation_names, path) -> 
         raise ValueError("entity name count does not match table")
     if len(relation_names) != emb.relation_vecs.shape[0]:
         raise ValueError("relation name count does not match table")
+    row_fmt = " ".join(["%.17g"] * emb.dim)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"kge-v1 {emb.dim} {len(entity_names)} {len(relation_names)}\n")
-        for name, row in zip(entity_names, emb.entity_vecs):
-            fh.write("E\t" + name + "\t" + " ".join(f"{x:.17g}" for x in row) + "\n")
-        for name, row in zip(relation_names, emb.relation_vecs):
-            fh.write("R\t" + name + "\t" + " ".join(f"{x:.17g}" for x in row) + "\n")
+        for tag, names, vecs in (("E", entity_names, emb.entity_vecs),
+                                 ("R", relation_names, emb.relation_vecs)):
+            fh.writelines(f"{tag}\t{name}\t{row_fmt % tuple(row.tolist())}\n"
+                          for name, row in zip(names, vecs))
 
 
 def load_embeddings(path) -> tuple[EmbeddingTable, list[str], list[str]]:

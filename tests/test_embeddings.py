@@ -1,9 +1,14 @@
 """KG embedding pre-training and cosine-similarity tests."""
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from kgt5lab import embeddings
 from kgt5lab.embeddings import (LINK_PREDICTION_BLOCK, EmbeddingTable,
@@ -271,6 +276,38 @@ class TestTouchedRowUpdate:
         assert rel_a.tobytes() == rel_b.tobytes()
         assert not np.array_equal(ent_a, ent)
 
+    def test_batch_without_active_pair(self):
+        # entities a=0, b=1, c=2, z=3 on a line; relation r=0 steps one unit.
+        # Batch 0 holds exact triples whose corrupt tail z is far away, so no
+        # pair is active; batch 1 holds two violated pairs.
+        ent = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [10.0, 0.0]])
+        rel = np.array([[1.0, 0.0], [0.0, 1.0]])
+        heads = np.array([0, 1, 2, 3], dtype=np.int64)
+        rels = np.array([0, 0, 0, 1], dtype=np.int64)
+        tails = np.array([1, 2, 0, 0], dtype=np.int64)
+        order = np.arange(4, dtype=np.int64)
+        sides = np.array([[1], [1], [1], [0]], dtype=np.int64)
+        corrupts = np.array([[3], [3], [1], [0]], dtype=np.int64)
+        ent_0, rel_0 = ent.copy(), rel.copy()
+        loss_0 = embeddings._transe_epoch(ent_0, rel_0, heads, rels, tails, order[:2],
+                                          sides, corrupts, 1.0, 0.1, 2)
+        assert loss_0 == 0.0
+        assert ent_0.tobytes() == ent.tobytes() and rel_0.tobytes() == rel.tobytes()
+        args = (heads, rels, tails, order, sides, corrupts, 1.0, 0.1, 2)
+        ent_a, rel_a, ent_b, rel_b = ent.copy(), rel.copy(), ent.copy(), rel.copy()
+        loss_a = embeddings._transe_epoch(ent_a, rel_a, *args)
+        loss_b = reference_transe_epoch(ent_b, rel_b, *args)
+        assert loss_a > 0 and loss_a == loss_b
+        assert ent_a.tobytes() == ent_b.tobytes()
+        assert rel_a.tobytes() == rel_b.tobytes()
+        assert not np.array_equal(ent_a, ent)
+
+    def test_three_negatives_partial_last_batch(self, monkeypatch):
+        g = seeded_kg_50()
+        cfg = TransEConfig(epochs=5, seed=6, batch_size=10, negatives_per_positive=3)
+        assert len(g.triples) % cfg.batch_size != 0
+        self.check(monkeypatch, g, cfg, d=12)
+
 
 def seeded_kg_50():
     from kgt5lab.data import SyntheticKGSpec, gen_synthetic_kg
@@ -455,7 +492,51 @@ class TestLinkPredictionEval:
             prev = hits
 
 
+def reference_save_embeddings(emb, entity_names, relation_names, path):
+    """Per-value writer: one ``f"{x:.17g}"`` per float, one write per row."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"kge-v1 {emb.dim} {len(entity_names)} {len(relation_names)}\n")
+        for name, row in zip(entity_names, emb.entity_vecs):
+            fh.write("E\t" + name + "\t" + " ".join(f"{x:.17g}" for x in row) + "\n")
+        for name, row in zip(relation_names, emb.relation_vecs):
+            fh.write("R\t" + name + "\t" + " ".join(f"{x:.17g}" for x in row) + "\n")
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
+
+
 class TestEmbeddingFile:
+    def test_bytes_match_per_value_writer(self, tmp_path):
+        edge = [-0.0, 5e-324, 2.2250738585072014e-308, 1e300, -1 / 3]
+        emb = EmbeddingTable(5, np.array([edge, edge[::-1], [0.0, 1.0, -1.0, 0.5, 1e-300]]),
+                             np.array([[-x for x in edge]]))
+        ent_names, rel_names = ["Zürich", "東京", "e_2"], ["größer_als"]
+        fast, slow = tmp_path / "fast.kge", tmp_path / "slow.kge"
+        save_embeddings(emb, ent_names, rel_names, fast)
+        reference_save_embeddings(emb, ent_names, rel_names, slow)
+        assert fast.read_bytes() == slow.read_bytes()
+        loaded, names_e, names_r = load_embeddings(fast)
+        assert loaded.entity_vecs.tobytes() == emb.entity_vecs.tobytes()
+        assert loaded.relation_vecs.tobytes() == emb.relation_vecs.tobytes()
+        assert (names_e, names_r) == (ent_names, rel_names)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda d: st.tuples(
+        hnp.arrays(np.float64, st.tuples(st.integers(0, 4), st.just(d)), elements=FINITE),
+        hnp.arrays(np.float64, st.tuples(st.integers(0, 3), st.just(d)), elements=FINITE))))
+    def test_finite_tables_round_trip_bit_for_bit(self, tables):
+        ent, rel = tables
+        emb = EmbeddingTable(ent.shape[1], ent, rel)
+        ent_names = [f"e{i}" for i in range(ent.shape[0])]
+        rel_names = [f"r{i}" for i in range(rel.shape[0])]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "emb.kge"
+            save_embeddings(emb, ent_names, rel_names, path)
+            loaded, names_e, names_r = load_embeddings(path)
+        assert loaded.entity_vecs.tobytes() == ent.tobytes()
+        assert loaded.relation_vecs.tobytes() == rel.tobytes()
+        assert (names_e, names_r) == (ent_names, rel_names)
+
     def test_round_trip_bit_exact(self, tmp_path):
         g = chain_graph(7, 2)
         emb, _ = train_kg_embeddings(g, TransEConfig(epochs=2, seed=8), d=5)
