@@ -12,10 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kg import KnowledgeGraph, Triple
+from .kg import KnowledgeGraph, Triple, atomic_write, undecodable_line
 
 MAX_UINT64 = 2**64 - 1
-LINK_PREDICTION_BLOCK = 16  # triples ranked per matmul in link_prediction_eval
+LINK_PREDICTION_BLOCK = 32  # triples ranked per matmul in link_prediction_eval
 
 
 class EmptyGraphError(ValueError):
@@ -244,18 +244,49 @@ def link_prediction_eval(emb: EmbeddingTable, g: KnowledgeGraph,
     ties are broken by entity id ascending.
 
     Triples are ranked ``LINK_PREDICTION_BLOCK`` at a time.  One matmul per
-    block screens every entity by ``||x||^2 - 2 x.e + ||e||^2``.  Whatever
-    order the BLAS sums in, the screen and the exactly computed
-    ``sum((x - e)**2)`` differ by at most ``(4d + 9) u (||x||^2 + ||e||^2)``
-    with ``u = eps / 2``, well inside ``tol = 4 (d + 2) eps (||x||^2 +
-    ||e||^2)``; ``tol`` also gets the smallest normal double added, because
-    errors in underflowed products are absolute, not relative.  An entity
-    screened below the true tail's exact squared distance by more than
-    ``tol`` is therefore closer, and one screened above it by more than
-    ``tol`` is farther, by a gap that still separates the rounded square
-    roots.  Only the entities inside that band (the true tail, exact ties
-    and near-ties) are re-scored with the exact formula and the id
-    tie-break, so every rank equals a per-triple scan's, bit for bit.
+    block screens every entity by ``a = ||e||^2 - 2 x.e``, which is the
+    squared distance minus ``||x||^2``.  Per row, with ``q_t`` the true
+    tail's exactly computed ``sum((x - e_t)**2)``, ``base = q_t - x_sq`` and
+    ``T = 4 (d + 2) eps (x_sq + M) + tiny`` (``M = max ||e||^2``), entities
+    with ``a < base - T`` are counted closer and those with
+    ``a > base + T`` farther.  The rest form the band; a row whose band
+    holds only the true tail ranks ``1 + closer``, and the other rows
+    re-score their band with the exact formula and the id tie-break, so
+    every rank equals a per-triple scan's, bit for bit.
+
+    Why the counts are exact, with ``u = eps / 2``, ``S = ||x||^2 + M``
+    and terms of order ``u^2`` dropped:
+
+    * *Screen error.*  ``a`` is off ``||e||^2 - 2 x.e`` by at most
+      ``d u S`` for the dot product in any BLAS order, ``d u ||e||^2`` for
+      ``||e||^2`` and ``u (||x||^2 + 2 ||e||^2)`` for the final addition.
+      ``base`` is rounded once per row: ``x_sq`` is off by ``d u ||x||^2``
+      and, as ``q_t <= 2 (||x||^2 + ||e_t||^2)``, the subtraction by
+      ``u (||x||^2 + 2 M)``.  Subtracting or adding ``T`` rounds once more,
+      by ``u (||x||^2 + 2 M)``.  In all, ``(2d + 6) u S``, within ``T / 2 =
+      (4d + 8) u S``.  The bound is against ``q_t`` itself, not the exact
+      distance, because ``q_t`` is what the re-score compares.
+    * *Separation.*  An entity counted closer thus has an exact squared
+      distance below ``q_t`` by more than ``T - (2d + 6) u S``.  Its exact
+      ``sum((x - e)**2)`` rounds by at most ``(d + 2) u`` relative, at most
+      ``(2d + 4) u S``, and square roots rounded to nearest stay strictly
+      ordered once the squares differ by ``4 u q_t <= 8 u S``.  The
+      ``(4d + 18) u S`` needed in all fits in ``T = (8d + 16) u S`` for
+      every ``d >= 1``; the farther side is symmetric.  The true tail's own
+      ``a`` lies within ``(4d + 8) u S`` of ``base`` and rounding the
+      thresholds adds at most ``2 u S``, so it is never counted: it is
+      always in the band.
+    * *Underflow.*  Errors in underflowed products are absolute, not
+      relative; ``tiny``, the smallest normal double, covers them.
+    * *Overflow.*  ``T`` is formed as ``(x_sq + M) * 4`` times ``(d + 2)
+      eps``; the ``* 4`` is exact unless it overflows, so ``T`` is infinite
+      exactly when ``x_sq + M`` exceeds a quarter of the largest double.
+      Below that, no screen entry, ``base`` or squared distance (each at
+      most ``2 S``) overflows, so a finite ``T`` comes with a finite,
+      NaN-free screen.  An infinite ``T`` makes ``base - T`` minus infinity
+      or NaN and ``base + T`` infinity or NaN, which count no entity, so
+      such a row re-scores every entity.  A NaN screen entry lands in
+      neither count for the same reason and falls in the band.
     """
     if len(g.triples) == 0:
         raise EmptyGraphError("graph has no triples")
@@ -266,8 +297,10 @@ def link_prediction_eval(emb: EmbeddingTable, g: KnowledgeGraph,
             f"graph has {g.n_entities} entities and {g.n_relations} relations")
     heads, rels, tails = _triple_arrays(g)
     ent_sq = np.sum(ent * ent, axis=1)
-    tol_scale = 4 * (emb.dim + 2) * np.finfo(np.float64).eps
+    ent_sq_max = ent_sq.max()
+    tol_scale = (emb.dim + 2) * np.finfo(np.float64).eps
     tiny = np.finfo(np.float64).tiny
+    n_ent = ent.shape[0]
     ranks = np.empty(len(tails), dtype=np.float64)
     for b0 in range(0, len(tails), LINK_PREDICTION_BLOCK):
         block = slice(b0, b0 + LINK_PREDICTION_BLOCK)
@@ -275,22 +308,26 @@ def link_prediction_eval(emb: EmbeddingTable, g: KnowledgeGraph,
         tail = tails[block]
         true_sq = _sq_dists(x, ent[tail])
         x_sq = np.sum(x * x, axis=1)
-        # screened minus true squared distance, [block, |V|]
-        margin = x @ ent.T
-        margin *= -2.0
-        margin += x_sq[:, None]
-        margin += ent_sq
-        margin -= true_sq[:, None]
-        tol = x_sq[:, None] + ent_sq
-        tol *= tol_scale
-        tol += tiny
-        closer = np.count_nonzero(margin < -tol, axis=1)
-        # NaN or inf margins land in the band and are re-scored exactly
-        row, col = np.nonzero(~(np.abs(margin) > tol))
-        dists = np.sqrt(_sq_dists(x[row], ent[col]))
-        s_true = np.sqrt(true_sq)[row]
-        wins = (dists < s_true) | ((dists == s_true) & (col < tail[row]))
-        ranks[block] = 1 + closer + np.bincount(row[wins], minlength=len(tail))
+        base = true_sq - x_sq
+        # the exact * 4 comes first, so T is inf once x_sq + M > max / 4
+        thresh = (x_sq + ent_sq_max) * 4.0 * tol_scale + tiny
+        lo = (base - thresh)[:, None]
+        hi = (base + thresh)[:, None]
+        a = (-2.0 * x) @ ent.T  # [block, |V|]; scaling by -2 is exact
+        a += ent_sq
+        # counting row by row skips the intp cast that axis=1 makes
+        closer = np.array([np.count_nonzero(r) for r in a < lo])
+        band = n_ent - closer - [np.count_nonzero(r) for r in a > hi]
+        ranks[block] = 1 + closer
+        wide = np.flatnonzero(band > 1)
+        if wide.size == 0:
+            continue
+        aw = a[wide]
+        row, col = np.nonzero(~((aw < lo[wide]) | (aw > hi[wide])))
+        dists = np.sqrt(_sq_dists(x[wide[row]], ent[col]))
+        s_true = np.sqrt(true_sq[wide[row]])
+        wins = (dists < s_true) | ((dists == s_true) & (col < tail[wide[row]]))
+        ranks[b0 + wide] += np.bincount(row[wins], minlength=wide.size)
     hits = float(np.mean(ranks <= k))
     return hits, float(np.mean(ranks))
 
@@ -306,7 +343,7 @@ def save_embeddings(emb: EmbeddingTable, entity_names, relation_names, path) -> 
     if len(relation_names) != emb.relation_vecs.shape[0]:
         raise ValueError("relation name count does not match table")
     row_fmt = " ".join(["%.17g"] * emb.dim)
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, "w", encoding="utf-8") as fh:
         fh.write(f"kge-v1 {emb.dim} {len(entity_names)} {len(relation_names)}\n")
         for tag, names, vecs in (("E", entity_names, emb.entity_vecs),
                                  ("R", relation_names, emb.relation_vecs)):
@@ -315,8 +352,11 @@ def save_embeddings(emb: EmbeddingTable, entity_names, relation_names, path) -> 
 
 
 def load_embeddings(path) -> tuple[EmbeddingTable, list[str], list[str]]:
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError:
+        raise FormatError(undecodable_line(path), "not UTF-8") from None
     if lines and lines[-1] == "":
         lines.pop()
     if not lines:
@@ -360,4 +400,8 @@ def load_embeddings(path) -> tuple[EmbeddingTable, list[str], list[str]]:
         name, row = parse_row(2 + n_ent + i, "R")
         rel_names.append(name)
         rel_rows[i] = row
-    return EmbeddingTable(d, ent_rows, rel_rows), ent_names, rel_names
+    try:
+        return EmbeddingTable(d, ent_rows, rel_rows), ent_names, rel_names
+    except ValueError:  # the rows have the header's shape, so a value is not finite
+        finite = np.isfinite(np.concatenate([ent_rows, rel_rows])).all(axis=1)
+        raise FormatError(2 + int(np.argmin(finite)), "non-finite value") from None

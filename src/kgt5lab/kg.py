@@ -12,7 +12,9 @@ store equal values.
 from __future__ import annotations
 
 import math
+import os
 import unicodedata
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -158,25 +160,58 @@ def load_triples_tsv(path) -> tuple[KnowledgeGraph, LoadSummary]:
     """
     named: list[tuple[str, str, str]] = []
     n_lines = 0
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            n_lines = lineno
-            line = raw.rstrip("\n")
-            if line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise MalformedLineError(lineno, f"expected 3 fields, got {len(fields)}")
-            fields = [f.strip() for f in fields]
-            if any(not f for f in fields):
-                raise MalformedLineError(lineno, "empty field")
-            named.append((fields[0], fields[1], fields[2]))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, 1):
+                n_lines = lineno
+                line = raw.rstrip("\n")
+                if line.startswith("#"):
+                    continue
+                fields = line.split("\t")
+                if len(fields) != 3:
+                    raise MalformedLineError(lineno, f"expected 3 fields, got {len(fields)}")
+                fields = [f.strip() for f in fields]
+                if any(not f for f in fields):
+                    raise MalformedLineError(lineno, "empty field")
+                named.append((fields[0], fields[1], fields[2]))
+    except UnicodeDecodeError:
+        raise MalformedLineError(undecodable_line(path), "not UTF-8") from None
     graph, n_dup = from_named_triples(named)
     return graph, LoadSummary(n_lines=n_lines, n_triples=len(graph.triples), n_duplicates=n_dup)
 
 
+def undecodable_line(path) -> int:
+    """1-based number of the line holding the first byte of ``path`` that is
+    not UTF-8, counting lines as text-mode reading does (LF, CR LF or CR)."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raw = raw[:exc.start]
+    return raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n").count(b"\n") + 1
+
+
+@contextmanager
+def atomic_write(path, mode: str, **open_kwargs):
+    """Write a new file beside ``path`` and move it over ``path`` when the
+    block completes; ``mode`` is ``"w"`` or ``"wb"`` and the keywords go to
+    ``open``.  If the block raises, the new file is removed and ``path``
+    keeps its previous bytes.  This guards against a failure of the writing
+    process, not against power loss: nothing is fsynced."""
+    tmp = f"{os.fspath(path)}.{os.urandom(6).hex()}.tmp"
+    fh = open(tmp, mode.replace("w", "x"), **open_kwargs)
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def save_triples_tsv(g: KnowledgeGraph, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, "w", encoding="utf-8") as fh:
         for h, r, t in g.named_triples():
             fh.write(f"{h}\t{r}\t{t}\n")
 

@@ -27,7 +27,7 @@ from .autodiff import (Tape, Tensor, add, backward, cross_entropy_mean,
                        cosine_similarity, gather_rows, mul, reduce_sum,
                        scalar_mul, ShapeMismatchError)
 from .embeddings import EmbeddingTable, seed_seq
-from .kg import KnowledgeGraph, link_mentions
+from .kg import KnowledgeGraph, atomic_write, link_mentions
 from .model import (AugmentedInput, BOS_ID, EOS_ID, EmptyCorpusError,
                     ModelConfig, ModelParams, PAD_ID, Vocabulary,
                     build_augmented_input, forward, kg_row_tensors, span_corrupt,
@@ -444,7 +444,7 @@ def save_checkpoint(params: ModelParams, emb: Optional[EmbeddingTable],
         "tensors": directory,
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
         fh.write(struct.pack("<I", len(blob)))

@@ -417,6 +417,27 @@ def parity_case(name):
         g = random_graph(rng, 30, 2, 20)
         return EmbeddingTable(4, 1e-160 * rng.normal(size=(30, 4)),
                               1e-160 * rng.normal(size=(2, 4))), g
+    if name == "overflowing-distances":
+        # every squared distance and ||x||^2 overflows to inf
+        g = random_graph(rng, 30, 2, 40)
+        return EmbeddingTable(4, 1e160 * rng.normal(size=(30, 4)),
+                              1e160 * rng.normal(size=(2, 4))), g
+    if name == "near-overflow":
+        # ||x||^2 + max ||e||^2 is finite but distances between near-antipodal
+        # rows overflow: entity rows of squared norm 0.3 * max double
+        g = random_graph(rng, 30, 2, 40)
+        angle = rng.uniform(0, 2 * np.pi, size=30)
+        radius = np.sqrt(0.3 * np.finfo(np.float64).max)
+        ent = radius * np.stack([np.cos(angle), np.sin(angle)], axis=1)
+        return EmbeddingTable(2, ent, 1e-3 * radius * rng.normal(size=(2, 2))), g
+    if name == "one-long-row":
+        # one row x1e4 widens every row's band; duplicated rows keep a second
+        # entity in most bands, so most rows take the exact re-score
+        g = random_graph(rng, 40, 3, 2 * LINK_PREDICTION_BLOCK + 7)
+        ent = rng.normal(size=(40, 6))
+        ent[1::2] = ent[::2]
+        ent[7] *= 1e4
+        return EmbeddingTable(6, ent, rng.normal(size=(3, 6))), g
     assert name == "partial-block"
     g = random_graph(rng, 30, 2, 2 * LINK_PREDICTION_BLOCK + 5)
     ent = rng.normal(size=(30, 5))
@@ -427,7 +448,8 @@ def parity_case(name):
 class TestLinkPredictionEval:
     @pytest.mark.parametrize("case", ["trained-kg-50", "relations-x1e3",
                                       "duplicates-and-exact-hits", "subnormal-distances",
-                                      "partial-block"])
+                                      "partial-block", "overflowing-distances",
+                                      "near-overflow", "one-long-row"])
     def test_matches_per_triple_scan_bit_for_bit(self, case):
         # equal hits@k for every k pins the whole rank histogram
         emb, g = parity_case(case)
@@ -502,6 +524,9 @@ def reference_save_embeddings(emb, entity_names, relation_names, path):
             fh.write("R\t" + name + "\t" + " ".join(f"{x:.17g}" for x in row) + "\n")
 
 
+# three rows: edge values, a signed zero and non-ASCII names
+VALID_KGE = ("kge-v1 3 2 1\nE\tzürich\t0.5 -1.25 1e300\nE\tb\t3 -0 5e-324\n"
+             "R\tin\t1e-300 2 0.25\n").encode("utf-8")
 FINITE = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
 
 
@@ -581,3 +606,40 @@ class TestEmbeddingFile:
         with pytest.raises(FormatError) as exc:
             load_embeddings(path)
         assert exc.value.line_number == 2
+
+    def test_undecodable_byte_is_format_error_with_line(self, tmp_path):
+        path = tmp_path / "bad.kge"
+        path.write_bytes(b"kge-v1 2 2 0\nE\ta\t1 0\nE\tb\xff\t0 1\n")
+        with pytest.raises(FormatError) as exc:
+            load_embeddings(path)
+        assert exc.value.line_number == 3
+
+    def test_non_finite_value_is_format_error_with_line(self, tmp_path):
+        path = tmp_path / "big.kge"
+        path.write_text("kge-v1 2 1 1\nE\ta\t1 0\nR\tr\t1e900 1\n", encoding="utf-8")
+        with pytest.raises(FormatError) as exc:
+            load_embeddings(path)
+        assert exc.value.line_number == 3
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(0, len(VALID_KGE) - 1), st.integers(0, 255))
+    def test_one_byte_mutants_load_or_raise_format_error(self, pos, value):
+        blob = bytearray(VALID_KGE)
+        blob[pos] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "emb.kge"
+            path.write_bytes(bytes(blob))
+            try:
+                load_embeddings(path)
+            except FormatError:
+                pass
+
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        emb = EmbeddingTable(2, np.array([[1.0, 0.5], [0.0, -2.0]]), np.array([[3.0, 4.0]]))
+        path = tmp_path / "emb.kge"
+        save_embeddings(emb, ["a", "b"], ["r"], path)
+        before = path.read_bytes()
+        with pytest.raises(UnicodeEncodeError):  # a lone surrogate has no UTF-8 form
+            save_embeddings(emb, ["c", "\ud800"], ["r"], path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]

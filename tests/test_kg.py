@@ -1,14 +1,22 @@
 """Knowledge-graph data model tests."""
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgt5lab.kg import (InvalidFractionError, KnowledgeGraph,
-                        MalformedLineError, UnknownEntityError,
+                        MalformedLineError, Triple, UnknownEntityError,
                         from_named_triples, link_mentions, load_triples_tsv,
                         neighbors, save_triples_tsv, subgraph_fraction)
+
+
+# a comment line, names that normalize on load and a non-ASCII name
+VALID_TSV = "# kg\nParis\tin\tFrance\nzürich\tin\tswitzerland\nFrance\tin\teurope\n".encode()
 
 
 def write(tmp_path, text, name="kg.tsv"):
@@ -64,6 +72,37 @@ class TestLoadTriplesTsv:
         save_triples_tsv(g, out)
         g2, _ = load_triples_tsv(out)
         assert g2 == g
+
+    def test_undecodable_byte_is_malformed_line(self, tmp_path):
+        p = tmp_path / "kg.tsv"
+        p.write_bytes(b"a\tr\tb\r\nb\tr\tc\n# note\nc\tr\t\xff\n")
+        with pytest.raises(MalformedLineError) as exc:
+            load_triples_tsv(p)
+        assert exc.value.line_number == 4
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(0, len(VALID_TSV) - 1), st.integers(0, 255))
+    def test_one_byte_mutants_load_or_raise_malformed_line(self, pos, value):
+        blob = bytearray(VALID_TSV)
+        blob[pos] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "kg.tsv"
+            path.write_bytes(bytes(blob))
+            try:
+                load_triples_tsv(path)
+            except MalformedLineError:
+                pass
+
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "kg.tsv"
+        save_triples_tsv(KnowledgeGraph(["a", "b"], ["r"], [Triple(0, 0, 1)]), path)
+        before = path.read_bytes()
+        # a lone surrogate has no UTF-8 form, so the second line fails to encode
+        bad = KnowledgeGraph(["c", "b", "\ud800"], ["r"], [Triple(0, 0, 1), Triple(1, 0, 2)])
+        with pytest.raises(UnicodeEncodeError):
+            save_triples_tsv(bad, path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
 
 
 class TestSubgraphFraction:

@@ -519,6 +519,19 @@ class TestCheckpoint:
             assert np.array_equal(params2.tensors[name].data,
                                   params.tensors[name].data)
 
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        params, emb, configs = self.roundtrip_setup()
+        path = tmp_path / "x.ckpt"
+        save_checkpoint(params, emb, configs, path)
+        before = path.read_bytes()
+        # the last blob cannot be converted, so the header and the earlier
+        # blobs are written before the save fails
+        params.tensors[max(params.tensors)].data = np.array(["x"], dtype=object)
+        with pytest.raises(ValueError):
+            save_checkpoint(params, emb, configs, path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_bad_magic(self, tmp_path):
         params, emb, configs = self.roundtrip_setup()
         path = tmp_path / "x.ckpt"
