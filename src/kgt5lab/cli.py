@@ -208,31 +208,16 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_ablate(args) -> int:
+def cmd_experiment(args) -> int:
+    """Run ``ablate`` or ``scale-sweep`` through the manifest it writes."""
     exp = _load_experiment(args.config, args.sim_weight)
-    seeds = _parse_seeds(args.seeds)
-    graph, corpus, dataset = harness.build_world(exp)
-    reports = harness.run_ablation(graph, corpus, dataset, exp, seeds)
+    fractions = None if args.fractions is None else _parse_fractions(args.fractions)
+    manifest = harness.make_manifest(args.experiment, exp, _parse_seeds(args.seeds),
+                                     fractions, argv=sys.argv[1:])
+    reports = harness.run_from_manifest(manifest)
     out = _out_dir(args)
     harness.emit_report(reports, "csv", out / "metrics.csv")
     harness.emit_report(reports, "markdown", out / "report.md")
-    manifest = harness.make_manifest("ablation", exp, seeds, argv=sys.argv[1:])
-    harness.save_manifest(manifest, out / "manifest.json")
-    print(f"wrote {len(reports)} reports to {out / 'metrics.csv'}")
-    return 0
-
-
-def cmd_scale_sweep(args) -> int:
-    exp = _load_experiment(args.config, args.sim_weight)
-    seeds = _parse_seeds(args.seeds)
-    fractions = _parse_fractions(args.fractions)
-    graph, corpus, dataset = harness.build_world(exp)
-    reports = harness.run_scale_sweep(graph, corpus, dataset, exp, fractions, seeds)
-    out = _out_dir(args)
-    harness.emit_report(reports, "csv", out / "metrics.csv")
-    harness.emit_report(reports, "markdown", out / "report.md")
-    manifest = harness.make_manifest("scale-sweep", exp, seeds, fractions,
-                                     argv=sys.argv[1:])
     harness.save_manifest(manifest, out / "manifest.json")
     print(f"wrote {len(reports)} reports to {out / 'metrics.csv'}")
     return 0
@@ -336,12 +321,12 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("ablate", help="run the KG-input ablation")
     experiment(p)
-    p.set_defaults(func=cmd_ablate)
+    p.set_defaults(func=cmd_experiment, experiment="ablation", fractions=None)
 
     p = sub.add_parser("scale-sweep", help="run the KG-size sweep")
     experiment(p)
     p.add_argument("--fractions", required=True, help="e.g. 0.25,0.5,1.0")
-    p.set_defaults(func=cmd_scale_sweep)
+    p.set_defaults(func=cmd_experiment, experiment="scale-sweep")
 
     p = sub.add_parser("ingest-squad", help="validate a SQuAD v1.1 JSON file")
     p.add_argument("--path", required=True)

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .embeddings import seed_seq
-from .kg import KnowledgeGraph, from_named_triples
+from .kg import KnowledgeGraph, atomic_write, from_named_triples
 
 BORN_IN = "born_in"
 LOCATED_IN = "located_in"
@@ -202,20 +202,6 @@ def gen_qa(kg: KnowledgeGraph, per_category: dict[str, int],
     return examples
 
 
-def walk_answer(kg: KnowledgeGraph, gold_entities: Sequence[int],
-                gold_relations: Sequence[int]) -> set[str]:
-    """Entity names reachable by following the gold relations in order."""
-    frontier = set(gold_entities)
-    for rel in gold_relations:
-        nxt: set[int] = set()
-        for e in frontier:
-            for r, tail in kg._adjacency[e]:
-                if r == rel:
-                    nxt.add(tail)
-        frontier = nxt
-    return {kg.entity_names[e] for e in frontier}
-
-
 def split(dataset: Sequence[QAExample], ratios: tuple[float, float],
           seed: int) -> tuple[list[QAExample], list[QAExample]]:
     """Seeded shuffle then contiguous split, stratified by category."""
@@ -246,7 +232,7 @@ def split(dataset: Sequence[QAExample], ratios: tuple[float, float],
 # ---------------------------------------------------------------------------
 
 def save_qa_jsonl(dataset: Sequence[QAExample], kg: KnowledgeGraph, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, "w", encoding="utf-8") as fh:
         for ex in dataset:
             fh.write(json.dumps({
                 "question": ex.question,
@@ -323,21 +309,6 @@ def ingest_squad(path) -> list[SquadExample]:
                 out.append(SquadExample(id=str(qa_id), context=context,
                                         question=str(question), answers=parsed))
     return out
-
-
-def squad_to_json(examples: Sequence[SquadExample]) -> dict:
-    """Re-serialize parsed examples: consecutive same-context examples share
-    one paragraph, all under a single article."""
-    paragraphs = []
-    for ex in examples:
-        qa = {"id": ex.id, "question": ex.question,
-              "answers": [{"text": a.text, "answer_start": a.answer_start}
-                          for a in ex.answers]}
-        if paragraphs and paragraphs[-1]["context"] == ex.context:
-            paragraphs[-1]["qas"].append(qa)
-        else:
-            paragraphs.append({"context": ex.context, "qas": [qa]})
-    return {"data": [{"title": "", "paragraphs": paragraphs}], "version": "1.1"}
 
 
 # Example count of the official SQuAD v1.1 dev file, pinned as a regression

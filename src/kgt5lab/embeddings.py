@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kg import KnowledgeGraph, Triple, atomic_write, undecodable_line
+from .kg import KnowledgeGraph, atomic_write, undecodable_line
 
 MAX_UINT64 = 2**64 - 1
 LINK_PREDICTION_BLOCK = 32  # triples ranked per matmul in link_prediction_eval
@@ -102,16 +102,6 @@ def init_embeddings(g: KnowledgeGraph, d: int, seed: int,
     ent = rng.uniform(-bound, bound, size=(g.n_entities, d))
     rel = rng.uniform(-bound, bound, size=(g.n_relations, d))
     return EmbeddingTable(d, ent, rel)
-
-
-def transe_score(emb: EmbeddingTable, t: Triple) -> float:
-    """||v_head + e_rel - v_tail||_2; lower means more plausible."""
-    if not (0 <= t.head < emb.entity_vecs.shape[0]
-            and 0 <= t.tail < emb.entity_vecs.shape[0]
-            and 0 <= t.relation < emb.relation_vecs.shape[0]):
-        raise UnknownIdError(t)
-    diff = emb.entity_vecs[t.head] + emb.relation_vecs[t.relation] - emb.entity_vecs[t.tail]
-    return float(np.linalg.norm(diff))
 
 
 def _triple_arrays(g: KnowledgeGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -389,9 +379,16 @@ def load_embeddings(path) -> tuple[EmbeddingTable, list[str], list[str]]:
             raise FormatError(lineno, "non-numeric value") from None
         return name, row
 
+    # a row of d values holds at least d - 1 spaces, whatever its name, so
+    # nothing sized by d is allocated before the file could hold it
+    for lineno, line in enumerate(lines[1:], 2):
+        if line.count(" ") < d - 1:
+            raise FormatError(lineno, f"expected {d} values")
+    try:
+        ent_rows, rel_rows = np.empty((n_ent, d)), np.empty((n_rel, d))
+    except ValueError:  # no rows, and d is too large for an array dimension
+        raise FormatError(1, f"dimension {d} out of range") from None
     ent_names, rel_names = [], []
-    ent_rows = np.empty((n_ent, d))
-    rel_rows = np.empty((n_rel, d))
     for i in range(n_ent):
         name, row = parse_row(2 + i, "E")
         ent_names.append(name)

@@ -1,10 +1,12 @@
 """Experiment harness: ablation and KG-scale sweeps, metrics and reports.
 
-Within one seed, the four ablation variants share the pretrained weights,
-the train/test split and the KG embeddings; they differ only in which KG
-rows enter the encoder and in the similarity pathway.  The scale sweep
-re-trains KG embeddings per subgraph while the test set stays fixed, so
-fractions are compared on identical denominators.  Runs are reproducible
+Both experiments run one runner over a list of (variant, KG fraction)
+cells: the ablation varies the variant on the full graph, the scale sweep
+the fraction for variant ``both``.  Within one seed, all cells share the
+pretrained weights and the train/test split, and the cells of one fraction
+share its subgraph and KG embeddings; cells differ only in which KG rows
+enter the encoder and in the similarity pathway.  The test set stays fixed,
+so fractions are compared on identical denominators.  Runs are reproducible
 bit-exactly from their manifest in sequential mode.
 """
 
@@ -15,13 +17,14 @@ import datetime
 import json
 import statistics
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import __version__
 from .data import (CATEGORIES, QAExample, SyntheticKGSpec, gen_qa,
                    gen_synthetic_kg, split)
 from .embeddings import EmbeddingTable, TransEConfig, train_kg_embeddings
-from .kg import InvalidFractionError, KnowledgeGraph, subgraph_fraction
+from .kg import (InvalidFractionError, KnowledgeGraph, atomic_write,
+                 subgraph_fraction)
 from .model import (ModelConfig, ModelParams, VARIANTS, Vocabulary,
                     build_augmented_input, build_vocab, greedy_decode)
 from .trainer import LossSpec, TrainConfig, finetune, prepare_examples, pretrain
@@ -108,50 +111,54 @@ def report_from(variant: str, fraction: float, seed: int,
         n_hop2=stats["hop2"][1], final_L=final_l, final_Sim=final_sim)
 
 
-def _pretrained_seeds(corpus: Sequence[str], dataset: Sequence[QAExample],
-                      exp: ExperimentConfig, seeds: Sequence[int]
-                      ) -> Iterator[tuple[int, Vocabulary, list[QAExample],
-                                          list[QAExample], ModelParams]]:
-    """Per seed, the setup both experiments share: (seed, vocabulary, train
-    split, test split, pretrained parameters)."""
+def _run_cells(kg: KnowledgeGraph, corpus: Sequence[str],
+               dataset: Sequence[QAExample], exp: ExperimentConfig,
+               seeds: Sequence[int], cells: Sequence[tuple[str, float]]
+               ) -> list[MetricsReport]:
+    """One row per seed and per (variant, KG fraction) cell.
+
+    Each seed has one split and one pretrain; each fraction within a seed has
+    one subgraph and one TransE table, shared by that fraction's cells.
+    Every cell fine-tunes a copy of the pretrained weights."""
+    if not seeds:
+        raise ValueError("need at least one seed")
     vocab = build_vocabulary(corpus, dataset)
     model_cfg = replace(exp.model, vocab_size=len(vocab))
     corpus_ids = [vocab.encode(s) for s in corpus]
+    reports: list[MetricsReport] = []
     for seed in seeds:
         train_set, test_set = split(dataset, exp.split_ratios, seed)
         params0, _ = pretrain(ModelParams.init(model_cfg, seed), corpus_ids,
                               replace(exp.pretrain, seed=seed))
-        yield seed, vocab, train_set, test_set, params0
+        graphs: dict[float, tuple[KnowledgeGraph, EmbeddingTable]] = {}
+        for variant, fraction in cells:
+            if fraction not in graphs:
+                sub = subgraph_fraction(kg, fraction, seed)
+                emb, _ = train_kg_embeddings(sub, replace(exp.transe, seed=seed),
+                                             exp.model.d_kg)
+                graphs[fraction] = sub, emb
+            sub, emb0 = graphs[fraction]
+            params, emb_v, trace = finetune(
+                params0.copy(), train_set, sub, emb0.copy(), exp.loss, variant,
+                replace(exp.finetune, seed=seed), vocab)
+            stats = evaluate_split(params, vocab, sub, emb_v, test_set, variant,
+                                   exp.decode_steps)
+            reports.append(report_from(variant, fraction, seed, stats, trace))
+    return reports
 
 
 def run_ablation(kg: KnowledgeGraph, corpus: Sequence[str],
                  dataset: Sequence[QAExample], exp: ExperimentConfig,
                  seeds: Sequence[int]) -> list[MetricsReport]:
-    """For each seed and variant: shared pretrain/split/embeddings, then
-    fine-tune and evaluate on the held-out split."""
-    if not seeds:
-        raise ValueError("need at least one seed")
-    reports: list[MetricsReport] = []
-    for seed, vocab, train_set, test_set, params0 in _pretrained_seeds(
-            corpus, dataset, exp, seeds):
-        emb0, _ = train_kg_embeddings(kg, replace(exp.transe, seed=seed),
-                                      exp.model.d_kg)
-        for variant in VARIANTS:
-            params = params0.copy()
-            params, emb_v, trace = finetune(
-                params, train_set, kg, emb0.copy(), exp.loss, variant,
-                replace(exp.finetune, seed=seed), vocab)
-            stats = evaluate_split(params, vocab, kg, emb_v, test_set, variant,
-                                   exp.decode_steps)
-            reports.append(report_from(variant, 1.0, seed, stats, trace))
-    return reports
+    """Fine-tune and evaluate every variant on the full graph."""
+    return _run_cells(kg, corpus, dataset, exp, seeds, [(v, 1.0) for v in VARIANTS])
 
 
 def run_scale_sweep(kg: KnowledgeGraph, corpus: Sequence[str],
                     dataset: Sequence[QAExample], exp: ExperimentConfig,
                     fractions: Sequence[float],
                     seeds: Sequence[int]) -> list[MetricsReport]:
-    """Re-train embeddings per KG subgraph and fine-tune variant ``both``.
+    """Fine-tune and evaluate variant ``both`` on each KG subgraph.
 
     The test set is fixed across fractions; questions whose entities fall
     outside a subgraph simply lack their KG rows.
@@ -161,21 +168,8 @@ def run_scale_sweep(kg: KnowledgeGraph, corpus: Sequence[str],
     for f in fractions:
         if not (0.0 < f <= 1.0):
             raise InvalidFractionError(f"fraction {f} outside (0, 1]")
-    reports: list[MetricsReport] = []
-    for seed, vocab, train_set, test_set, params0 in _pretrained_seeds(
-            corpus, dataset, exp, seeds):
-        for fraction in fractions:
-            sub = subgraph_fraction(kg, fraction, seed)
-            emb_f, _ = train_kg_embeddings(sub, replace(exp.transe, seed=seed),
-                                           exp.model.d_kg)
-            params = params0.copy()
-            params, emb_v, trace = finetune(
-                params, train_set, sub, emb_f, exp.loss, "both",
-                replace(exp.finetune, seed=seed), vocab)
-            stats = evaluate_split(params, vocab, sub, emb_v, test_set, "both",
-                                   exp.decode_steps)
-            reports.append(report_from("both", fraction, seed, stats, trace))
-    return reports
+    return _run_cells(kg, corpus, dataset, exp, seeds,
+                      [("both", f) for f in fractions])
 
 
 # ---------------------------------------------------------------------------
@@ -198,10 +192,10 @@ def emit_report(reports: Sequence[MetricsReport], format: str, path) -> None:
                 _fmt(r.em_hop1), _fmt(r.em_context), _fmt(r.em_hop2),
                 str(r.n_hop1), str(r.n_context), str(r.n_hop2),
                 _fmt(r.final_L), _fmt(r.final_Sim)]))
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
     elif format == "markdown":
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path, "w", encoding="utf-8") as fh:
             fh.write(render_markdown(reports))
     else:
         raise ValueError(f"unknown report format {format!r}")
@@ -331,11 +325,6 @@ def run_from_manifest(manifest: dict) -> list[MetricsReport]:
 
 
 def save_manifest(manifest: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def load_manifest(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)

@@ -101,9 +101,6 @@ class KnowledgeGraph:
     def relation_id(self, name: str) -> RelationId:
         return self._relation_index[normalize_name(name)]
 
-    def has_entity(self, name: str) -> bool:
-        return normalize_name(name) in self._entity_index
-
     def named_triples(self) -> list[tuple[str, str, str]]:
         return [(self.entity_names[t.head], self.relation_names[t.relation],
                  self.entity_names[t.tail]) for t in self.triples]
@@ -232,13 +229,6 @@ def subgraph_fraction(g: KnowledgeGraph, fraction: float, seed: int) -> Knowledg
     named = g.named_triples()
     sub, _ = from_named_triples(named[i] for i in keep)
     return sub
-
-
-def neighbors(g: KnowledgeGraph, e: EntityId) -> list[tuple[RelationId, EntityId]]:
-    """Outgoing (relation, tail) pairs of ``e`` in triple insertion order."""
-    if not (0 <= e < g.n_entities):
-        raise UnknownEntityError(e)
-    return list(g._adjacency[e])
 
 
 def _mention_index(entity_names: Sequence[str]

@@ -4,7 +4,7 @@ import json
 from pathlib import Path
 
 from kgt5lab.cli import main
-from kgt5lab.harness import parse_report_csv
+from kgt5lab.harness import emit_report, parse_report_csv, run_from_manifest
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -114,6 +114,12 @@ class TestTrainEvalPipeline:
         assert len(rows) == 1
 
 
+def assert_manifest_reproduces_metrics(out):
+    manifest = json.loads((out / "manifest.json").read_text())
+    emit_report(run_from_manifest(manifest), "csv", out / "again.csv")
+    assert (out / "again.csv").read_bytes() == (out / "metrics.csv").read_bytes()
+
+
 class TestExperimentCommands:
     def test_ablate_report_count_and_files(self, tmp_path):
         out = tmp_path / "ab"
@@ -126,6 +132,7 @@ class TestExperimentCommands:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["experiment"] == "ablation"
         assert manifest["seeds"] == [1, 2]
+        assert_manifest_reproduces_metrics(out)
 
     def test_seed_range_syntax(self, tmp_path):
         out = tmp_path / "ab2"
@@ -140,6 +147,7 @@ class TestExperimentCommands:
                      "--config", write_config(tmp_path), "--out", str(out)])
         assert code == 0
         assert len(parse_report_csv(out / "metrics.csv")) == 4
+        assert_manifest_reproduces_metrics(out)
 
     def test_report_rerender(self, tmp_path):
         out = tmp_path / "ab3"

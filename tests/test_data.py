@@ -2,6 +2,7 @@
 
 import json
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,7 @@ from kgt5lab.data import (BadRatiosError, CATEGORIES, InfeasibleCountError,
                           OffsetError, SQUAD_V11_DEV_EXPECTED_COUNT,
                           SchemaError, SyntheticKGSpec, gen_qa,
                           gen_synthetic_kg, ingest_squad, load_qa_jsonl,
-                          save_qa_jsonl, split, squad_to_json, walk_answer)
+                          save_qa_jsonl, split)
 from kgt5lab.kg import link_mentions
 from kgt5lab.model import tokenize
 
@@ -60,6 +61,16 @@ class TestGenSyntheticKg:
         for (h, r, t), sentence in zip(kg.named_triples(), corpus):
             assert h in sentence
             assert t in sentence
+
+
+def walk_answer(kg, gold_entities, gold_relations) -> set[str]:
+    """Independent oracle: entity names reached from the gold entities by
+    following the gold relations in order, scanning every triple per hop."""
+    frontier = set(gold_entities)
+    for rel in gold_relations:
+        frontier = {t.tail for t in kg.triples
+                    if t.head in frontier and t.relation == rel}
+    return {kg.entity_names[e] for e in frontier}
 
 
 class TestGenQa:
@@ -164,6 +175,35 @@ class TestQaJsonl:
         save_qa_jsonl(ds, kg, path)
         loaded = load_qa_jsonl(path, kg)
         assert loaded == ds
+
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        kg = gen_synthetic_kg(SyntheticKGSpec(n_people=8, n_cities=3,
+                                              n_countries=2, seed=0))[0]
+        ds = gen_qa(kg, {"hop1": 4}, seed=0)
+        path = tmp_path / "qa.jsonl"
+        save_qa_jsonl(ds, kg, path)
+        before = path.read_bytes()
+        # the first lines are written before the out-of-range gold id fails
+        bad = ds[:2] + [replace(ds[2], gold_entities=[kg.n_entities])]
+        with pytest.raises(IndexError):
+            save_qa_jsonl(bad, kg, path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+
+
+def squad_to_json(examples) -> dict:
+    """Re-serialize parsed examples: consecutive same-context examples share
+    one paragraph, all under a single article."""
+    paragraphs = []
+    for ex in examples:
+        qa = {"id": ex.id, "question": ex.question,
+              "answers": [{"text": a.text, "answer_start": a.answer_start}
+                          for a in ex.answers]}
+        if paragraphs and paragraphs[-1]["context"] == ex.context:
+            paragraphs[-1]["qas"].append(qa)
+        else:
+            paragraphs.append({"context": ex.context, "qas": [qa]})
+    return {"data": [{"title": "", "paragraphs": paragraphs}], "version": "1.1"}
 
 
 class TestIngestSquad:

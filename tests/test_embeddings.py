@@ -16,7 +16,7 @@ from kgt5lab.embeddings import (LINK_PREDICTION_BLOCK, EmbeddingTable,
                                 UnknownIdError, ZeroVectorError, cosine_sim,
                                 init_embeddings, link_prediction_eval,
                                 load_embeddings, save_embeddings,
-                                train_kg_embeddings, transe_score)
+                                train_kg_embeddings)
 from kgt5lab.kg import (KnowledgeGraph, Triple, from_named_triples,
                         subgraph_fraction)
 
@@ -49,33 +49,6 @@ class TestInitEmbeddings:
         g = KnowledgeGraph([], [], [])
         with pytest.raises(EmptyGraphError):
             init_embeddings(g, d=4, seed=1)
-
-
-class TestTranseScore:
-    def test_exact_translation_is_zero(self):
-        emb = EmbeddingTable(2, np.array([[0.0, 0.0], [1.0, 0.0]]),
-                             np.array([[1.0, 0.0]]))
-        assert transe_score(emb, Triple(0, 0, 1)) == 0.0
-
-    def test_sqrt_two(self):
-        # independent arithmetic: sqrt(1^2 + (-1)^2 + ...) by hand
-        emb = EmbeddingTable(2, np.array([[0.0, 0.0], [0.0, 1.0]]),
-                             np.array([[1.0, 0.0]]))
-        expected = math.sqrt(1.0**2 + (-1.0)**2)
-        assert transe_score(emb, Triple(0, 0, 1)) == pytest.approx(expected, abs=1e-12)
-        assert transe_score(emb, Triple(0, 0, 1)) == pytest.approx(1.41421356, abs=1e-8)
-
-    def test_nonnegative_on_random_tables(self):
-        rng = np.random.default_rng(0)
-        emb = EmbeddingTable(3, rng.normal(size=(5, 3)), rng.normal(size=(2, 3)))
-        for h in range(5):
-            for t in range(5):
-                assert transe_score(emb, Triple(h, 0, t)) >= 0.0
-
-    def test_unknown_id(self):
-        emb = EmbeddingTable(2, np.zeros((2, 2)), np.zeros((1, 2)))
-        with pytest.raises(UnknownIdError):
-            transe_score(emb, Triple(0, 0, 5))
 
 
 class TestCosineSim:
@@ -579,6 +552,22 @@ class TestEmbeddingFile:
         with pytest.raises(FormatError) as exc:
             load_embeddings(path)
         assert exc.value.line_number == 2
+
+    def test_huge_dim_fails_at_the_short_row(self, tmp_path):
+        # a table of 10^11 values would need 745 GiB; the one-value row
+        # must fail before any of it is allocated
+        path = tmp_path / "huge.kge"
+        path.write_text("kge-v1 100000000000 1 0\nE\ta\t1\n", encoding="utf-8")
+        with pytest.raises(FormatError) as exc:
+            load_embeddings(path)
+        assert exc.value.line_number == 2
+
+    def test_dim_beyond_any_array_fails_at_the_header(self, tmp_path):
+        path = tmp_path / "huge.kge"
+        path.write_text(f"kge-v1 {10**21} 0 0\n", encoding="utf-8")
+        with pytest.raises(FormatError) as exc:
+            load_embeddings(path)
+        assert exc.value.line_number == 1
 
     def test_empty_relation_set_allowed(self, tmp_path):
         path = tmp_path / "norel.kge"

@@ -14,7 +14,8 @@ from kgt5lab.harness import (CSV_COLUMNS, ExperimentConfig, MetricsReport,
                              evaluate_split, exact_match,
                              experiment_from_jsonable, experiment_to_jsonable,
                              make_manifest, parse_report_csv, render_markdown,
-                             run_ablation, run_from_manifest, run_scale_sweep)
+                             run_ablation, run_from_manifest, run_scale_sweep,
+                             save_manifest)
 from kgt5lab.kg import InvalidFractionError
 from kgt5lab.model import VARIANTS, ModelConfig, ModelParams
 from kgt5lab.trainer import LossSpec, TrainConfig
@@ -88,6 +89,21 @@ def tiny_experiment(max_steps=12, pre_steps=8):
         decode_steps=3)
 
 
+def criterion8_experiment():
+    """The tiny config of acceptance criterion 8."""
+    return ExperimentConfig(
+        kg_spec=SyntheticKGSpec(n_people=14, n_cities=4, n_countries=2,
+                                occupations=("weaver", "smith"), seed=0),
+        per_category={"hop1": 10, "context": 10, "hop2": 10},
+        split_ratios=(0.7, 0.3),
+        model=ModelConfig(vocab_size=1, d_model=16, n_layers=1, n_heads=2,
+                          d_ff=24, max_len=48, d_kg=8),
+        transe=TransEConfig(epochs=10, batch_size=16),
+        pretrain=TrainConfig(max_steps=10, batch_size=4),
+        finetune=TrainConfig(max_steps=15, batch_size=4),
+        decode_steps=3)
+
+
 def make_reports():
     rows = []
     for seed in (1, 2):
@@ -132,6 +148,18 @@ class TestEmitReport:
         with pytest.raises(ValueError):
             emit_report(make_reports(), "yaml", tmp_path / "x")
 
+    @pytest.mark.parametrize("format", ["csv", "markdown"])
+    def test_failed_write_keeps_previous_file(self, tmp_path, format):
+        path = tmp_path / "report"
+        emit_report(make_reports(), format, path)
+        before = path.read_bytes()
+        # a lone surrogate has no UTF-8 form, so the write fails
+        bad = make_reports() + [replace(make_reports()[0], variant="\ud800")]
+        with pytest.raises(UnicodeEncodeError):
+            emit_report(bad, format, path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+
 
 class TestRunAblation:
     def test_one_seed_shapes(self):
@@ -175,6 +203,24 @@ class TestRunScaleSweep:
         with pytest.raises(InvalidFractionError):
             run_scale_sweep(kg, corpus, dataset, exp, [0.0, 0.5], [1])
 
+    def test_empty_seeds_raise_in_both_experiments(self):
+        exp = tiny_experiment()
+        kg, corpus, dataset = build_world(exp)
+        with pytest.raises(ValueError, match="seed"):
+            run_ablation(kg, corpus, dataset, exp, [])
+        with pytest.raises(ValueError, match="seed"):
+            run_scale_sweep(kg, corpus, dataset, exp, [0.5, 1.0], [])
+
+    def test_full_graph_rows_equal_ablation_both_rows(self):
+        exp = criterion8_experiment()
+        kg, corpus, dataset = build_world(exp)
+        both = [r for r in run_ablation(kg, corpus, dataset, exp, seeds=[3, 4])
+                if r.variant == "both"]
+        full = [r for r in run_scale_sweep(kg, corpus, dataset, exp, [0.5, 1.0],
+                                           seeds=[3, 4]) if r.kg_fraction == 1.0]
+        assert [r.seed for r in both] == [3, 4]
+        assert both == full
+
 
 class TestManifest:
     def test_experiment_config_json_round_trip(self):
@@ -201,6 +247,17 @@ class TestManifest:
         b = run_from_manifest(manifest)
         assert a == b
 
+    def test_failed_save_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        manifest = make_manifest("ablation", tiny_experiment(), seeds=[1])
+        save_manifest(manifest, path)
+        before = path.read_bytes()
+        # keys are written sorted, so "config" is written before "seeds" fails
+        with pytest.raises(TypeError):
+            save_manifest({**manifest, "seeds": [1, object()]}, path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_manifest_records_version(self):
         from kgt5lab import __version__
         manifest = make_manifest("ablation", tiny_experiment(), seeds=[1])
@@ -209,7 +266,8 @@ class TestManifest:
 
 class TestSharedArtifactsWithinSeed:
     def test_variants_share_pretrain_split_and_embeddings(self, monkeypatch):
-        # the ablation must call pretrain/split/TransE once per seed
+        # both experiments call pretrain/split once per seed and TransE once
+        # per seed and KG fraction
         import kgt5lab.harness as H
         calls = {"pretrain": 0, "transe": 0, "split": 0}
         real_pre, real_emb, real_split = H.pretrain, H.train_kg_embeddings, H.split
@@ -233,3 +291,6 @@ class TestSharedArtifactsWithinSeed:
         kg, corpus, dataset = build_world(exp)
         H.run_ablation(kg, corpus, dataset, exp, seeds=[1, 2])
         assert calls == {"pretrain": 2, "transe": 2, "split": 2}
+        calls.update(pretrain=0, transe=0, split=0)
+        H.run_scale_sweep(kg, corpus, dataset, exp, [0.25, 0.5, 1.0], seeds=[1, 2])
+        assert calls == {"pretrain": 2, "transe": 6, "split": 2}

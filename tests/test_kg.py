@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kgt5lab.data import SyntheticKGSpec, gen_synthetic_kg
 from kgt5lab.kg import (InvalidFractionError, KnowledgeGraph,
                         MalformedLineError, Triple, UnknownEntityError,
                         from_named_triples, link_mentions, load_triples_tsv,
-                        neighbors, save_triples_tsv, subgraph_fraction)
+                        save_triples_tsv, subgraph_fraction)
 
 
 # a comment line, names that normalize on load and a non-ASCII name
@@ -60,6 +61,12 @@ class TestLoadTriplesTsv:
         g, _ = load_triples_tsv(write(tmp_path, "Paris\tin\tFRANCE\nparis\tin\tfrance\n"))
         assert g.n_entities == 2
         assert len(g.triples) == 1
+
+    def test_unknown_name_is_unknown_entity_error(self, tmp_path):
+        g, _ = load_triples_tsv(write(tmp_path, "Paris\tin\tFrance\n"))
+        assert g.entity_id("PARIS") == 0
+        with pytest.raises(UnknownEntityError):
+            g.entity_id("berlin")
 
     def test_first_appearance_id_order(self, tmp_path):
         g, _ = load_triples_tsv(write(tmp_path, "a\tr\tb\nb\ts\tc\n"))
@@ -129,9 +136,13 @@ class TestSubgraphFraction:
         assert len(sub.triples) == math.ceil(fraction * 37)
 
     def test_full_fraction_is_identity(self):
+        # the ablation's cells run on subgraph_fraction(kg, 1.0, seed), so
+        # it must return the graph itself, ids included
         g = self.make_graph(20)
-        sub = subgraph_fraction(g, 1.0, seed=123)
-        assert set(sub.named_triples()) == set(g.named_triples())
+        assert subgraph_fraction(g, 1.0, seed=123) == g
+        pinned, _ = gen_synthetic_kg(SyntheticKGSpec())
+        for seed in range(1, 6):
+            assert subgraph_fraction(pinned, 1.0, seed) == pinned
 
     @pytest.mark.parametrize("fraction", [0.0, -0.5, 1.2])
     def test_invalid_fraction(self, fraction):
@@ -148,32 +159,6 @@ class TestSubgraphFraction:
         assert a != c  # different seeds may (and here do) differ
 
 
-class TestNeighbors:
-    def test_insertion_order(self):
-        g, _ = from_named_triples([("a", "r", "b"), ("a", "s", "c")])
-        assert neighbors(g, g.entity_id("a")) == [
-            (g.relation_id("r"), g.entity_id("b")),
-            (g.relation_id("s"), g.entity_id("c"))]
-
-    def test_no_outgoing_edges(self):
-        g, _ = from_named_triples([("a", "r", "b")])
-        assert neighbors(g, g.entity_id("b")) == []
-
-    def test_out_of_range(self):
-        g, _ = from_named_triples([("a", "r", "b")])
-        with pytest.raises(UnknownEntityError):
-            neighbors(g, g.n_entities)
-
-    def test_count_matches_head_occurrences(self):
-        rng = np.random.default_rng(5)
-        named = [(f"e{rng.integers(8)}", f"r{rng.integers(3)}", f"e{rng.integers(8)}")
-                 for _ in range(40)]
-        g, _ = from_named_triples(named)
-        for e in range(g.n_entities):
-            expected = sum(1 for t in g.triples if t.head == e)
-            assert len(neighbors(g, e)) == expected
-
-
 def brute_force_mentions(g: KnowledgeGraph, tokens):
     """Independent oracle: enumerate all matching (start, length) windows,
     then take them longest-first at each position left to right."""
@@ -181,7 +166,7 @@ def brute_force_mentions(g: KnowledgeGraph, tokens):
     for start in range(len(tokens)):
         for end in range(start + 1, len(tokens) + 1):
             name = " ".join(tokens[start:end])
-            if g.has_entity(name):
+            if name in g.entity_names:
                 matches.append((start, end - start, g.entity_id(name)))
     matches.sort(key=lambda m: (m[0], -m[1]))
     consumed = set()
@@ -240,6 +225,24 @@ class TestLinkMentions:
             found = any(tokens[i:i + len(parts)] == parts
                         for i in range(len(tokens)))
             assert found
+
+    def test_relations_in_insertion_order(self):
+        g, _ = from_named_triples([("a", "r", "b"), ("a", "s", "c")])
+        assert link_mentions(g, ["a"]) == ([g.entity_id("a")],
+                                           [g.relation_id("r"), g.relation_id("s")])
+
+    def test_entity_without_outgoing_edges(self):
+        g, _ = from_named_triples([("a", "r", "b")])
+        assert link_mentions(g, ["b"]) == ([g.entity_id("b")], [])
+
+    def test_relations_match_head_triples(self):
+        rng = np.random.default_rng(5)
+        named = [(f"e{rng.integers(8)}", f"r{rng.integers(3)}", f"e{rng.integers(8)}")
+                 for _ in range(40)]
+        g, _ = from_named_triples(named)
+        for e in range(g.n_entities):
+            expected = list(dict.fromkeys(t.relation for t in g.triples if t.head == e))
+            assert link_mentions(g, [g.entity_names[e]]) == ([e], expected)
 
     def test_relations_first_discovery_order_deduped(self):
         g, _ = from_named_triples([("a", "r", "b"), ("a", "s", "c"),
