@@ -3,7 +3,8 @@
 A ``Tape`` records every differentiable operation whose inputs require
 gradients; ``backward`` walks the node list in strict reverse order once,
 accumulating gradients by sum into each participating tensor's ``.grad``.
-With no active tape, ops run as plain numpy (the evaluation fast path).
+With no active tape, every op computes its output and returns it before it
+builds a backward closure (the evaluation path).
 
 The primitive set is exactly what the encoder-decoder model and both loss
 terms need: elementwise add/sub/mul, scalar multiply, 2-D matmul, transpose,
@@ -18,6 +19,7 @@ each example sees the masks it would draw alone.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -147,16 +149,18 @@ _ACTIVE: Optional[Tape] = None
 
 def _record(op: str, out: Tensor, inputs: tuple[Tensor, ...],
             backward_fn: Callable[[np.ndarray], None]) -> Tensor:
-    tape = _ACTIVE
-    if tape is not None:
-        for t in inputs:
-            if t.requires_grad:
-                out.requires_grad = True
-                node = Node(op, inputs, backward_fn)
-                out.node = node
-                tape.nodes.append(node)
-                tape.outs.append(out)
-                break
+    """Record ``out``'s node on the active tape if an input requires grad.
+
+    Every primitive returns before it builds ``backward_fn`` when no tape is
+    active, so evaluation pays for neither the closure nor this call."""
+    for t in inputs:
+        if t.requires_grad:
+            out.requires_grad = True
+            node = Node(op, inputs, backward_fn)
+            out.node = node
+            _ACTIVE.nodes.append(node)
+            _ACTIVE.outs.append(out)
+            break
     return out
 
 
@@ -212,6 +216,8 @@ def _same_shape(op: str, a: Tensor, b: Tensor) -> None:
 def add(a: Tensor, b: Tensor) -> Tensor:
     _same_shape("add", a, b)
     out = Tensor(a.data + b.data)
+    if _ACTIVE is None:
+        return out
 
     def bwd(g):
         if a.requires_grad:
@@ -225,6 +231,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _same_shape("sub", a, b)
     out = Tensor(a.data - b.data)
+    if _ACTIVE is None:
+        return out
 
     def bwd(g):
         if a.requires_grad:
@@ -238,6 +246,8 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _same_shape("mul", a, b)
     out = Tensor(a.data * b.data)
+    if _ACTIVE is None:
+        return out
 
     def bwd(g):
         if a.requires_grad:
@@ -251,6 +261,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 def scalar_mul(a: Tensor, c: float) -> Tensor:
     c = float(c)
     out = Tensor(a.data * c)
+    if _ACTIVE is None:
+        return out
 
     def bwd(g):
         if a.requires_grad:
@@ -260,9 +272,12 @@ def scalar_mul(a: Tensor, c: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise ShapeMismatchError(f"matmul: {a.data.shape} x {b.data.shape}")
-    out = Tensor(a.data @ b.data)
+    ad, bd = a.data, b.data
+    if ad.ndim != 2 or bd.ndim != 2 or ad.shape[1] != bd.shape[0]:
+        raise ShapeMismatchError(f"matmul: {ad.shape} x {bd.shape}")
+    out = Tensor(ad @ bd)
+    if _ACTIVE is None:
+        return out
 
     def bwd(g):
         if a.requires_grad:
@@ -277,6 +292,8 @@ def transpose(a: Tensor) -> Tensor:
     if a.data.ndim != 2:
         raise ShapeMismatchError(f"transpose: need 2-D, got {a.data.shape}")
     out = Tensor(a.data.T.copy())
+    if _ACTIVE is None:
+        return out
 
     def bwd(g):
         if a.requires_grad:
@@ -287,6 +304,8 @@ def transpose(a: Tensor) -> Tensor:
 
 def reshape(a: Tensor, shape) -> Tensor:
     out = Tensor(a.data.reshape(shape).copy())
+    if _ACTIVE is None:
+        return out
 
     def bwd(g):
         if a.requires_grad:
@@ -302,7 +321,9 @@ def gather_rows(m: Tensor, ids) -> Tensor:
     idx = np.asarray(ids, dtype=np.int64)
     if idx.ndim != 1:
         raise ShapeMismatchError("gather_rows: ids must be 1-D")
-    out = Tensor(m.data[idx])
+    out = Tensor(m.data.take(idx, axis=0))
+    if _ACTIVE is None:
+        return out
 
     def bwd(g):
         if m.requires_grad:
@@ -321,6 +342,8 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
         if p.data.ndim != 2 or p.data.shape[1] != cols:
             raise ShapeMismatchError("concat_rows: all parts must be 2-D with equal columns")
     out = Tensor(np.concatenate([p.data for p in parts], axis=0))
+    if _ACTIVE is None:
+        return out
     offsets = np.cumsum([0] + [p.data.shape[0] for p in parts])
 
     def bwd(g):
@@ -339,6 +362,8 @@ def softmax_lastdim(x: Tensor) -> Tensor:
     e = np.exp(z)
     y = e / np.sum(e, axis=-1, keepdims=True)
     out = Tensor(y)
+    if _ACTIVE is None:
+        return out
 
     def bwd(g):
         if x.requires_grad:
@@ -355,6 +380,8 @@ def rms_norm(x: Tensor, gain: Tensor) -> Tensor:
     inv = 1.0 / np.sqrt(np.add.reduce(x.data * x.data, axis=-1, keepdims=True) / d + RMS_EPS)
     u = x.data * inv
     out = Tensor(u * gain.data)
+    if _ACTIVE is None:
+        return out
 
     def bwd(g):
         gg = g * gain.data
@@ -372,6 +399,8 @@ def gelu(x: Tensor) -> Tensor:
     inner = GELU_C * (xd + GELU_A * (xd * xd * xd))
     th = np.tanh(inner)
     out = Tensor(0.5 * xd * (1.0 + th))
+    if _ACTIVE is None:
+        return out
 
     def bwd(g):
         if x.requires_grad:
@@ -393,6 +422,8 @@ def dropout(x: Tensor, p_drop: float, rng, train: bool) -> Tensor:
         return x
     mask = _keep_mask(rng, x.data.shape, 1.0 - p_drop)
     out = Tensor(x.data * mask)
+    if _ACTIVE is None:
+        return out
 
     def bwd(g):
         if x.requires_grad:
@@ -434,6 +465,8 @@ def cross_entropy_mean(logits: Tensor, targets, ignore_id: int = -1,
         if w.shape != tgt.shape:
             raise ShapeMismatchError("cross_entropy_mean: one weight per row required")
         out = Tensor(np.sum(per_pos * w))
+    if _ACTIVE is None:
+        return out
 
     def bwd(g):
         if logits.requires_grad:
@@ -468,6 +501,8 @@ def cosine_similarity(v: Tensor, e: Tensor) -> Tensor:
         out = Tensor(c[:, 0])
     else:
         raise ShapeMismatchError("cosine_similarity: need 1-D or 2-D tensors")
+    if _ACTIVE is None:
+        return out
 
     def bwd(g):
         gf = float(g) if g.ndim == 0 else g[:, None]
@@ -482,6 +517,8 @@ def cosine_similarity(v: Tensor, e: Tensor) -> Tensor:
 def reduce_mean(x: Tensor) -> Tensor:
     size = x.data.size
     out = Tensor(np.mean(x.data))
+    if _ACTIVE is None:
+        return out
 
     def bwd(g):
         if x.requires_grad:
@@ -492,6 +529,8 @@ def reduce_mean(x: Tensor) -> Tensor:
 
 def reduce_sum(x: Tensor) -> Tensor:
     out = Tensor(np.sum(x.data))
+    if _ACTIVE is None:
+        return out
 
     def bwd(g):
         if x.requires_grad:
@@ -535,12 +574,23 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
     """Fused multi-head scaled-dot-product attention over projected q/k/v.
 
     Heads are contiguous column blocks of the [L, d] inputs.  ``bias_table``
-    [H, W] is gathered per head through ``bias_idx`` [Lq, Lk] (entries < 0
-    mean zero bias, used for non-text rows); ``mask`` is an additive constant.
+    [H, W] is gathered per head through ``bias_idx`` [Lq, Lk]: entries in
+    [0, W) pick a column, and -1 (used for non-text rows) picks a zero column
+    appended to the table, so a fixed index needs no per-call validity mask
+    or clipped copy.  ``mask`` is an additive constant that broadcasts
+    against [Lq, Lk], such as one row over the key columns.
     Dropout applies to the attention probabilities; ``rng`` is a Generator,
     or ``Streams`` over the query rows and key columns of a packed batch.
     One tape node replaces the matmul/softmax composition for speed; the
     backward pass is the exact analytic gradient of that composition.
+
+    Nothing is cached inside: every call splits the heads, scores, adds the
+    bias and mask, normalizes and merges the heads back with one reshape.
+    What is fixed the caller builds once and passes in: greedy decoding
+    builds each question's cross-attention keys, values and encoder mask
+    once for all its steps, and takes the bias index and causal mask from
+    per-length caches.  With no tape active the call returns before it
+    builds the backward closure.
     """
     lq, d = q.data.shape
     lk = k.data.shape[0]
@@ -549,29 +599,27 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
             f"attention_core: q {q.data.shape}, k {k.data.shape}, v {v.data.shape}, "
             f"n_heads {n_heads}")
     dh = d // n_heads
-    scale = 1.0 / np.sqrt(dh)
+    scale = 1.0 / math.sqrt(dh)  # the same double as np.sqrt, without its dispatch
     qh = np.ascontiguousarray(q.data.reshape(lq, n_heads, dh).transpose(1, 0, 2))
     kh = np.ascontiguousarray(k.data.reshape(lk, n_heads, dh).transpose(1, 0, 2))
     vh = np.ascontiguousarray(v.data.reshape(lk, n_heads, dh).transpose(1, 0, 2))
     # [H, Lq, Lk] buffers are reused in place: a packed batch makes them large
     scores = qh @ kh.transpose(0, 2, 1)
     scores *= scale
-    valid = None
     if bias_table is not None:
-        valid = bias_idx >= 0
-        gathered = bias_table.data[:, np.maximum(bias_idx, 0)]
-        if not valid.all():
-            gathered *= valid
-        scores += gathered
-        del gathered
+        table = bias_table.data
+        scores += np.concatenate((table, np.zeros((len(table), 1))), axis=1).take(
+            bias_idx, axis=1)
     if mask is not None:
         scores += mask
-    scores -= np.max(scores, axis=-1, keepdims=True)
+    scores -= scores.max(axis=-1, keepdims=True)
     probs = np.exp(scores, out=scores)
-    probs /= np.sum(probs, axis=-1, keepdims=True)
+    probs /= probs.sum(axis=-1, keepdims=True)
     dmask = _keep_mask(rng, probs.shape, 1.0 - p_drop) if train and p_drop > 0.0 else None
     out_h = (probs if dmask is None else probs * dmask) @ vh
-    out = Tensor(np.ascontiguousarray(out_h.transpose(1, 0, 2)).reshape(lq, d))
+    out = Tensor(out_h.transpose(1, 0, 2).reshape(lq, d))
+    if _ACTIVE is None:
+        return out
 
     def bwd(g):
         g_h = np.ascontiguousarray(g.reshape(lq, n_heads, dh).transpose(1, 0, 2))
@@ -579,13 +627,14 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
         if v.requires_grad:
             probs_kept = probs if dmask is None else probs * dmask
             dv_h = probs_kept.transpose(0, 2, 1) @ g_h
-            _acc_new(v, np.ascontiguousarray(dv_h.transpose(1, 0, 2)).reshape(lk, d))
+            _acc_new(v, dv_h.transpose(1, 0, 2).reshape(lk, d))
         if dmask is not None:
             d_probs *= dmask
         d_scores = probs * (d_probs - np.sum(d_probs * probs, axis=-1, keepdims=True))
         if bias_table is not None and bias_table.requires_grad:
             if bias_table.grad is None:
                 bias_table.grad = np.zeros_like(bias_table.data)
+            valid = bias_idx >= 0
             if valid.all():
                 for h in range(n_heads):
                     np.add.at(bias_table.grad[h], bias_idx.reshape(-1),
@@ -596,10 +645,10 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
                     np.add.at(bias_table.grad[h], flat_idx, d_scores[h][valid])
         if q.requires_grad:
             dq_h = (d_scores @ kh) * scale
-            _acc_new(q, np.ascontiguousarray(dq_h.transpose(1, 0, 2)).reshape(lq, d))
+            _acc_new(q, dq_h.transpose(1, 0, 2).reshape(lq, d))
         if k.requires_grad:
             dk_h = (d_scores.transpose(0, 2, 1) @ qh) * scale
-            _acc_new(k, np.ascontiguousarray(dk_h.transpose(1, 0, 2)).reshape(lk, d))
+            _acc_new(k, dk_h.transpose(1, 0, 2).reshape(lk, d))
 
     inputs = (q, k, v) if bias_table is None else (q, k, v, bias_table)
     return _record("attention_core", out, inputs, bwd)

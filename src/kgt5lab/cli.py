@@ -77,7 +77,7 @@ def _out_dir(args) -> Path:
 def _write_simple_manifest(out: Path, command: str, args: argparse.Namespace) -> None:
     manifest = {
         "command": command,
-        "args": {k: v for k, v in vars(args).items() if k != "func"},
+        "args": {k: v for k, v in vars(args).items() if k not in ("func", "argv")},
         "tool_version": __version__,
     }
     harness.save_manifest(manifest, out / "manifest.json")
@@ -94,7 +94,8 @@ def cmd_gen_kg(args) -> int:
     graph, corpus = data_mod.gen_synthetic_kg(spec)
     out = _out_dir(args)
     kg_mod.save_triples_tsv(graph, out / "kg.tsv")
-    (out / "corpus.txt").write_text("\n".join(corpus) + "\n", encoding="utf-8")
+    with kg_mod.atomic_write(out / "corpus.txt", "w", encoding="utf-8") as fh:
+        fh.write("\n".join(corpus) + "\n")
     _write_simple_manifest(out, "gen-kg", args)
     print(f"wrote {out / 'kg.tsv'} (|V|={graph.n_entities}, |R|={graph.n_relations}, "
           f"|T|={len(graph.triples)}) and corpus of {len(corpus)} sentences")
@@ -122,7 +123,8 @@ def cmd_train_embed(args) -> int:
     out = _out_dir(args)
     emb_mod.save_embeddings(table, graph.entity_names, graph.relation_names,
                             out / "embeddings.kge")
-    (out / "loss_trace.json").write_text(json.dumps(trace), encoding="utf-8")
+    with kg_mod.atomic_write(out / "loss_trace.json", "w", encoding="utf-8") as fh:
+        json.dump(trace, fh)
     hits, mean_rank = emb_mod.link_prediction_eval(table, graph, k=10)
     _write_simple_manifest(out, "train-embed", args)
     print(f"wrote {out / 'embeddings.kge'}; hits@10={hits:.4f} mean_rank={mean_rank:.2f}")
@@ -154,7 +156,8 @@ def cmd_pretrain(args) -> int:
     trainer.save_checkpoint(params, None,
                             {"vocab": vocab.tokens, "stage": "pretrained"},
                             out / "model.ckpt")
-    (out / "loss_trace.json").write_text(json.dumps(trace), encoding="utf-8")
+    with kg_mod.atomic_write(out / "loss_trace.json", "w", encoding="utf-8") as fh:
+        json.dump(trace, fh)
     _write_simple_manifest(out, "pretrain", args)
     print(f"wrote {out / 'model.ckpt'}; trace={['%.3f' % x for x in trace]}")
     return 0
@@ -186,7 +189,7 @@ def cmd_finetune(args) -> int:
     trainer.save_checkpoint(params, table,
                             {**configs, "stage": "finetuned", "variant": args.variant},
                             out / "model.ckpt")
-    with open(out / "trace.csv", "w", encoding="utf-8") as fh:
+    with kg_mod.atomic_write(out / "trace.csv", "w", encoding="utf-8") as fh:
         fh.write("step,L,Sim,L_prime\n")
         for step, l, s, lp in trace:
             fh.write(f"{step},{l:.17g},{s:.17g},{lp:.17g}\n")
@@ -213,7 +216,7 @@ def cmd_experiment(args) -> int:
     exp = _load_experiment(args.config, args.sim_weight)
     fractions = None if args.fractions is None else _parse_fractions(args.fractions)
     manifest = harness.make_manifest(args.experiment, exp, _parse_seeds(args.seeds),
-                                     fractions, argv=sys.argv[1:])
+                                     fractions, argv=args.argv)
     reports = harness.run_from_manifest(manifest)
     out = _out_dir(args)
     harness.emit_report(reports, "csv", out / "metrics.csv")
@@ -228,7 +231,7 @@ def cmd_ingest_squad(args) -> int:
     print(f"{len(examples)} examples, all answer offsets valid")
     if args.out:
         out = _out_dir(args)
-        with open(out / "squad_flat.jsonl", "w", encoding="utf-8") as fh:
+        with kg_mod.atomic_write(out / "squad_flat.jsonl", "w", encoding="utf-8") as fh:
             for ex in examples:
                 fh.write(json.dumps(dataclasses.asdict(ex), sort_keys=True) + "\n")
         _write_simple_manifest(out, "ingest-squad", args)
@@ -344,8 +347,10 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
+        args.argv = argv  # the list parsed here, recorded in experiment manifests
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -23,7 +23,7 @@ import unicodedata
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -194,14 +194,14 @@ class ModelConfig:
     d_kg: int = 32
 
     def __post_init__(self):
-        if self.d_model % self.n_heads != 0:
-            raise ValueError("d_model must be divisible by n_heads")
-        if not (0.0 <= self.dropout_p < 1.0):
-            raise ValueError("dropout_p must be in [0, 1)")
         for name in ("vocab_size", "d_model", "n_layers", "n_heads", "d_ff",
                      "max_len", "d_kg"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.d_model % self.n_heads != 0:
+            raise ValueError("d_model must be divisible by n_heads")
+        if not (0.0 <= self.dropout_p < 1.0):
+            raise ValueError("dropout_p must be in [0, 1)")
 
     @property
     def d_head(self) -> int:
@@ -422,18 +422,20 @@ def _causal_mask(t: int) -> np.ndarray:
     return _MASK_CACHE[key]
 
 
-def _mask_to_additive(mask: np.ndarray, n_rows: int) -> Optional[np.ndarray]:
+def _mask_to_additive(mask: np.ndarray) -> Optional[np.ndarray]:
+    """One additive row over the key columns (0 attendable, NEG_INF not),
+    which broadcasts over every query row; None when all are attendable."""
     if np.all(mask > 0):
         return None
-    cols = np.where(mask > 0, 0.0, NEG_INF)
-    return np.broadcast_to(cols, (n_rows, mask.shape[0])).copy()
+    return np.where(mask > 0, 0.0, NEG_INF)
 
 
 def _block_diag(blocks: Sequence[Optional[np.ndarray]],
                 shapes: Sequence[tuple[int, int]], fill) -> Optional[np.ndarray]:
-    """Block i (None: zeros) of shape ``shapes[i]`` on the diagonal, ``fill``
-    elsewhere.  A lone block is returned as it is, so a batch of one (every
-    decode step) uses the cached per-example arrays."""
+    """Block i (None: zeros; a row broadcasts over its rows) of shape
+    ``shapes[i]`` on the diagonal, ``fill`` elsewhere.  A lone block is
+    returned as it is, so a batch of one (every decode step) uses the cached
+    per-example arrays."""
     if len(blocks) == 1:
         return blocks[0]
     out = np.full((sum(r for r, _ in shapes), sum(c for _, c in shapes)), fill)
@@ -461,26 +463,32 @@ def _example_masks(mask: np.ndarray, lengths: Sequence[int]) -> list[np.ndarray]
     return [mask[lo:hi] for lo, hi in zip(offsets, offsets[1:])]
 
 
-def _project_kv(params: ModelParams, prefix: str, x: Tensor) -> tuple[Tensor, Tensor]:
-    return matmul(x, params[f"{prefix}.wk"]), matmul(x, params[f"{prefix}.wv"])
+def _layer(params: ModelParams, prefix: str, blocks: Sequence[str]):
+    """The weights of layer ``prefix``, looked up by name once per stack
+    run: its norm gains (ln1, ln2, ...), (wq, wk, wv, wo) of each attention
+    block in ``blocks``, and the ffn's (w1, w2)."""
+    return (tuple(params[f"{prefix}.ln{j}"] for j in range(1, len(blocks) + 2)),
+            tuple(tuple(params[f"{prefix}.{b}.w{m}"] for m in "qkvo") for b in blocks),
+            (params[f"{prefix}.ffn.w1"], params[f"{prefix}.ffn.w2"]))
 
 
-def _attention(params: ModelParams, prefix: str, x_q: Tensor,
+def _attention(cfg: ModelConfig, w: tuple[Tensor, ...], x_q: Tensor,
                kv: Optional[tuple[Tensor, Tensor]],
                bias_table: Optional[Tensor], bias_idx: Optional[np.ndarray],
                mask: Optional[np.ndarray], rng, train: bool) -> Tensor:
-    """Attention of ``x_q`` over precomputed (keys, values) ``kv``, or over
-    ``x_q`` itself (self-attention) when ``kv`` is None."""
-    cfg = params.config
-    q = matmul(x_q, params[f"{prefix}.wq"])
-    k, v = _project_kv(params, prefix, x_q) if kv is None else kv
+    """Attention of ``x_q`` through ``w`` = (wq, wk, wv, wo) over
+    precomputed (keys, values) ``kv``, or over ``x_q`` itself
+    (self-attention) when ``kv`` is None."""
+    wq, wk, wv, wo = w
+    q = matmul(x_q, wq)
+    k, v = (matmul(x_q, wk), matmul(x_q, wv)) if kv is None else kv
     core = attention_core(q, k, v, cfg.n_heads, bias_table, bias_idx, mask,
                           cfg.dropout_p, rng, train)
-    return matmul(core, params[f"{prefix}.wo"])
+    return matmul(core, wo)
 
 
-def _ffn(params: ModelParams, prefix: str, x: Tensor) -> Tensor:
-    return matmul(gelu(matmul(x, params[f"{prefix}.w1"])), params[f"{prefix}.w2"])
+def _ffn(w: tuple[Tensor, Tensor], x: Tensor) -> Tensor:
+    return matmul(gelu(matmul(x, w[0])), w[1])
 
 
 def encode(params: ModelParams, enc_input: EncoderInput, rng, train: bool) -> Tensor:
@@ -491,60 +499,72 @@ def encode(params: ModelParams, enc_input: EncoderInput, rng, train: bool) -> Te
     shapes = [(n, n) for n in lengths]
     bias_idx = _block_diag([_bias_idx(t, n, cfg.max_len) for t, n in segments],
                            shapes, -1)
-    mask = _block_diag([_mask_to_additive(m, n) for m, n in
-                        zip(_example_masks(enc_input.mask, lengths), lengths)],
+    mask = _block_diag([_mask_to_additive(m) for m in _example_masks(enc_input.mask, lengths)],
                        shapes, NEG_INF)
     rng = _streams(rng, lengths)
     x = dropout(enc_input.rows, cfg.dropout_p, rng, train)
     for i in range(cfg.n_layers):
-        norm_x = rms_norm(x, params[f"enc{i}.ln1"])
-        a = _attention(params, f"enc{i}.attn", norm_x, None,
+        (ln1, ln2), (attn,), ffn = _layer(params, f"enc{i}", ("attn",))
+        a = _attention(cfg, attn, rms_norm(x, ln1), None,
                        params["enc_rel_bias"], bias_idx, mask, rng, train)
         x = add(x, dropout(a, cfg.dropout_p, rng, train))
-        f = _ffn(params, f"enc{i}.ffn", rms_norm(x, params[f"enc{i}.ln2"]))
+        f = _ffn(ffn, rms_norm(x, ln2))
         x = add(x, dropout(f, cfg.dropout_p, rng, train))
     return rms_norm(x, params["enc_norm"])
 
 
-def _cross_kv(params: ModelParams, enc_out: Tensor) -> list[tuple[Tensor, Tensor]]:
-    """Per decoder layer, the cross-attention keys and values of ``enc_out``."""
-    return [_project_kv(params, f"dec{i}.cross", enc_out)
-            for i in range(params.config.n_layers)]
+class _Cross(NamedTuple):
+    """What every decoder step over one encoded batch reuses: each decoder
+    layer's weights (``_layer``) and cross-attention (keys, values) of the
+    encoder output, and per example its encoder row count and additive mask
+    row (None: all attendable)."""
+
+    layers: list
+    kv: list[tuple[Tensor, Tensor]]
+    enc_lengths: tuple[int, ...]
+    enc_masks: list[Optional[np.ndarray]]
+
+
+def _cross(params: ModelParams, enc_out: Tensor, enc_input: EncoderInput) -> _Cross:
+    """The decoder's view of one encoded batch, built once for all steps."""
+    layers = [_layer(params, f"dec{i}", ("self", "cross"))
+              for i in range(params.config.n_layers)]
+    kv = [(matmul(enc_out, cross_w[1]), matmul(enc_out, cross_w[2]))
+          for _, (_, cross_w), _ in layers]
+    return _Cross(layers, kv, enc_input.lengths,
+                  [_mask_to_additive(m)
+                   for m in _example_masks(enc_input.mask, enc_input.lengths)])
 
 
 def _decode_stack(params: ModelParams, decoder_ids: Sequence[int],
-                  dec_lengths: Sequence[int], cross_kv: list[tuple[Tensor, Tensor]],
-                  enc_input: EncoderInput, rng, train: bool) -> Tensor:
+                  dec_lengths: Sequence[int], cross: _Cross, rng, train: bool) -> Tensor:
     """Logits [len(decoder_ids), vocab] of the decoder stack over whole
-    prefixes, attending to the encoder through each layer's ``cross_kv``.
+    prefixes, attending to the encoder through ``cross``.
 
     ``decoder_ids`` holds each example's prefix (``dec_lengths``) back to
-    back, in the order of ``enc_input``'s examples; ``rng`` is None or one
-    dropout Generator per example.
+    back, in the order of the encoded examples; ``rng`` is None or one
+    dropout Generator per example.  Only what depends on the prefixes is
+    built here: the relative-position index, the causal mask and, for a
+    batch of several, the block-diagonal arrangement of the cross masks.
     """
     cfg = params.config
-    enc_lengths = [n for _, n in enc_input.segments]
     self_shapes = [(t, t) for t in dec_lengths]
-    cross_shapes = list(zip(dec_lengths, enc_lengths))
-    cross_mask = _block_diag([_mask_to_additive(m, t) for m, t in
-                              zip(_example_masks(enc_input.mask, enc_lengths), dec_lengths)],
-                             cross_shapes, NEG_INF)
+    cross_mask = _block_diag(cross.enc_masks, list(zip(dec_lengths, cross.enc_lengths)),
+                             NEG_INF)
     dec_bias_idx = _block_diag([_bias_idx(t, t, cfg.max_len) for t in dec_lengths],
                                self_shapes, -1)
     causal = _block_diag([_causal_mask(t) for t in dec_lengths], self_shapes, NEG_INF)
-    cross_rng = _streams(rng, dec_lengths, enc_lengths)
+    cross_rng = _streams(rng, dec_lengths, cross.enc_lengths)
     rng = _streams(rng, dec_lengths)
-    y = dropout(gather_rows(params["tok_emb"], list(decoder_ids)),
-                cfg.dropout_p, rng, train)
-    for i, kv in enumerate(cross_kv):
-        norm_y = rms_norm(y, params[f"dec{i}.ln1"])
-        a = _attention(params, f"dec{i}.self", norm_y, None,
+    y = dropout(gather_rows(params["tok_emb"], decoder_ids), cfg.dropout_p, rng, train)
+    for ((ln1, ln2, ln3), (self_w, cross_w), ffn), kv in zip(cross.layers, cross.kv):
+        a = _attention(cfg, self_w, rms_norm(y, ln1), None,
                        params["dec_rel_bias"], dec_bias_idx, causal, rng, train)
         y = add(y, dropout(a, cfg.dropout_p, rng, train))
-        c = _attention(params, f"dec{i}.cross", rms_norm(y, params[f"dec{i}.ln2"]),
-                       kv, None, None, cross_mask, cross_rng, train)
+        c = _attention(cfg, cross_w, rms_norm(y, ln2), kv, None, None, cross_mask,
+                       cross_rng, train)
         y = add(y, dropout(c, cfg.dropout_p, rng, train))
-        f = _ffn(params, f"dec{i}.ffn", rms_norm(y, params[f"dec{i}.ln3"]))
+        f = _ffn(ffn, rms_norm(y, ln3))
         y = add(y, dropout(f, cfg.dropout_p, rng, train))
     return matmul(rms_norm(y, params["dec_norm"]), params["out_proj"])
 
@@ -578,8 +598,8 @@ def forward(params: ModelParams, enc_input: EncoderInput,
     rngs = [np.random.default_rng(seed_seq(s, "dropout")) for s in seeds]
     enc_out = encode(params, enc_input, rngs, train_mode)
     return _decode_stack(params, [i for ids in id_lists for i in ids],
-                         [len(ids) for ids in id_lists], _cross_kv(params, enc_out),
-                         enc_input, rngs, train_mode)
+                         [len(ids) for ids in id_lists], _cross(params, enc_out, enc_input),
+                         rngs, train_mode)
 
 
 def greedy_decode(params: ModelParams, enc_input: EncoderInput,
@@ -587,25 +607,27 @@ def greedy_decode(params: ModelParams, enc_input: EncoderInput,
     """Argmax decoding from BOS; stops at EOS or max_steps.
 
     ``enc_input`` holds one example.  Returns the generated ids without
-    BOS/EOS.  Ties resolve to the lowest token id.  The question is encoded,
-    and each layer's cross-attention keys and values projected, once; every
-    step re-runs only the decoder stack over the whole prefix.  Each step's
-    logits equal, bit for bit, those of ``forward`` in eval mode: a
-    single-row matmul is not bit-equal to the same row of a multi-row one,
-    so the prefix is not cached.
+    BOS/EOS.  Ties resolve to the lowest token id.
+
+    Once per question: the encoder pass, and in ``_cross`` each decoder
+    layer's weights, its cross-attention keys and values and the additive
+    mask over the encoder rows.  Per step: ``_decode_stack`` over the whole
+    prefix, which adds only the prefix-length relative-position index and
+    causal mask (both cached by length).  Each step's logits equal, bit for
+    bit, those of ``forward`` in eval mode: a single-row matmul is not
+    bit-equal to the same row of a multi-row one, so the prefix is not
+    cached.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     if len(enc_input.segments) != 1:
         raise ValueError(f"greedy_decode takes one example, got {len(enc_input.segments)}")
     _check_encoder_length(params, enc_input)
-    enc_out = encode(params, enc_input, None, False)
-    cross_kv = _cross_kv(params, enc_out)
+    cross = _cross(params, encode(params, enc_input, None, False), enc_input)
     ids = [BOS_ID]
     out: list[int] = []
     for _ in range(max_steps):
-        logits = _decode_stack(params, ids, (len(ids),), cross_kv, enc_input,
-                               None, False)
+        logits = _decode_stack(params, ids, (len(ids),), cross, None, False)
         nxt = int(np.argmax(logits.data[-1]))
         if nxt == EOS_ID:
             break

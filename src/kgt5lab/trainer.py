@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -63,7 +63,13 @@ class CheckpointLayoutError(ValueError):
 
 
 class CheckpointHeaderError(ValueError):
-    """A checkpoint header that is not UTF-8 JSON."""
+    """A checkpoint header that is not UTF-8 JSON, lacks a field
+    ``save_checkpoint`` writes, or holds one of the wrong type or value."""
+
+
+class CheckpointEmbeddingError(ValueError):
+    """Embedding tensors that form no EmbeddingTable: a width other than the
+    header's ``embedding_dim``, or non-finite values."""
 
 
 class NonFiniteTrainingError(FloatingPointError):
@@ -422,6 +428,51 @@ def _expected_model_shapes(cfg: ModelConfig, kg_enabled: bool) -> dict[str, tupl
     return {name: t.data.shape for name, t in probe.tensors.items()}
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_header(header) -> ModelConfig:
+    """The model config of a parsed checkpoint header, after checking every
+    field ``save_checkpoint`` writes; raises CheckpointHeaderError naming the
+    first field that is missing or has the wrong type or value."""
+    def bad(what: str) -> CheckpointHeaderError:
+        return CheckpointHeaderError(f"checkpoint header: {what}")
+
+    keys = ("configs", "kg_enabled", "model_config", "has_embeddings",
+            "embedding_dim", "tensors")
+    if not isinstance(header, dict) or header.keys() != set(keys):
+        raise bad(f"fields must be exactly {', '.join(keys)}")
+    if not isinstance(header["configs"], dict):
+        raise bad("configs is not an object")
+    for key in ("kg_enabled", "has_embeddings"):
+        if not isinstance(header[key], bool):
+            raise bad(f"{key} is not a boolean")
+    dim = header["embedding_dim"]
+    if not (_is_int(dim) if header["has_embeddings"] else dim is None):
+        raise bad(f"embedding_dim {dim!r} with has_embeddings {header['has_embeddings']}")
+    cfg = header["model_config"]
+    names = {f.name for f in fields(ModelConfig)}
+    if not isinstance(cfg, dict) or cfg.keys() != names:
+        raise bad(f"model_config fields must be exactly {', '.join(sorted(names))}")
+    for name, value in cfg.items():
+        if not (_is_int(value) or (name == "dropout_p" and isinstance(value, float))):
+            raise bad(f"model_config.{name} is {value!r}")
+    try:
+        model_cfg = ModelConfig(**cfg)
+    except ValueError as exc:
+        raise bad(f"model_config: {exc}") from None
+    if not isinstance(header["tensors"], list):
+        raise bad("tensors is not a list")
+    for entry in header["tensors"]:
+        if not (isinstance(entry, dict) and entry.keys() == {"name", "shape", "offset"}
+                and isinstance(entry["name"], str) and _is_int(entry["offset"])
+                and isinstance(entry["shape"], list)
+                and all(_is_int(n) for n in entry["shape"])):
+            raise bad(f"tensor entry {entry!r}")
+    return model_cfg
+
+
 def save_checkpoint(params: ModelParams, emb: Optional[EmbeddingTable],
                     configs: dict, path) -> None:
     """Bit-exact, versioned serialization of params, embeddings and configs."""
@@ -456,8 +507,9 @@ def save_checkpoint(params: ModelParams, emb: Optional[EmbeddingTable],
 def load_checkpoint(path) -> tuple[ModelParams, Optional[EmbeddingTable], dict]:
     """Inverse of ``save_checkpoint``.  Raises a typed error for a file that
     is not exactly what ``save_checkpoint`` writes: bad preamble, a header
-    that is not UTF-8 JSON, unknown or missing tensors, blobs that are not
-    back to back in directory order, or bytes past the last blob."""
+    that is not UTF-8 JSON or lacks or mistypes a field, unknown or missing
+    tensors, blobs that are not back to back in directory order, bytes past
+    the last blob, or embedding tensors that form no EmbeddingTable."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < len(CHECKPOINT_MAGIC) + 8:
@@ -478,7 +530,7 @@ def load_checkpoint(path) -> tuple[ModelParams, Optional[EmbeddingTable], dict]:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointHeaderError(f"header is not UTF-8 JSON: {exc}") from None
     data_start = pos + hdr_len
-    model_cfg = ModelConfig(**header["model_config"])
+    model_cfg = _check_header(header)
     kg_enabled = header["kg_enabled"]
     expected = _expected_model_shapes(model_cfg, kg_enabled)
     known = {f"model.{name}" for name in expected}
@@ -497,7 +549,7 @@ def load_checkpoint(path) -> tuple[ModelParams, Optional[EmbeddingTable], dict]:
         shape = tuple(entry["shape"])
         if any(dim < 0 for dim in shape):
             raise CheckpointShapeError(f"tensor {name}: negative dimension in {shape}")
-        count = int(np.prod(shape))
+        count = math.prod(shape)
         lo = data_start + end
         end += count * 8
         if data_start + end > len(raw):
@@ -522,6 +574,9 @@ def load_checkpoint(path) -> tuple[ModelParams, Optional[EmbeddingTable], dict]:
     if header["has_embeddings"]:
         if "kg.entity_vecs" not in arrays or "kg.relation_vecs" not in arrays:
             raise CheckpointShapeError("embedding tensors missing")
-        emb = EmbeddingTable(header["embedding_dim"], arrays["kg.entity_vecs"],
-                             arrays["kg.relation_vecs"])
+        try:
+            emb = EmbeddingTable(header["embedding_dim"], arrays["kg.entity_vecs"],
+                                 arrays["kg.relation_vecs"])
+        except ValueError as exc:
+            raise CheckpointEmbeddingError(f"embedding tensors: {exc}") from None
     return params, emb, header["configs"]

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from kgt5lab import autodiff
 from kgt5lab.autodiff import (DetachedRootError, NotScalarRootError,
                               ShapeMismatchError, Streams, Tape,
                               TargetOutOfRangeError, Tensor, add,
@@ -450,3 +451,154 @@ class TestGradCheckItself:
     def test_linear_function_near_exact(self):
         err = grad_check(lambda x: reduce_sum(x), Tensor(np.ones((3, 3))))
         assert err < 1e-10
+
+
+def reference_attention_core(q, k, v, n_heads, table, idx, mask, p_drop, rng,
+                             train, g):
+    """The earlier attention_core in plain numpy (np.max/np.sum wrappers, a
+    validity mask and clipped index rebuilt per call, contiguous head
+    merges): its output and, for upstream gradient ``g``, the gradients of
+    q, k, v and the bias table."""
+    lq, d = q.shape
+    lk = k.shape[0]
+    dh = d // n_heads
+    scale = 1.0 / np.sqrt(dh)
+    qh = np.ascontiguousarray(q.reshape(lq, n_heads, dh).transpose(1, 0, 2))
+    kh = np.ascontiguousarray(k.reshape(lk, n_heads, dh).transpose(1, 0, 2))
+    vh = np.ascontiguousarray(v.reshape(lk, n_heads, dh).transpose(1, 0, 2))
+    scores = qh @ kh.transpose(0, 2, 1)
+    scores *= scale
+    valid = idx >= 0
+    gathered = table[:, np.maximum(idx, 0)]
+    if not valid.all():
+        gathered *= valid
+    scores += gathered
+    if mask is not None:
+        scores += mask
+    scores -= np.max(scores, axis=-1, keepdims=True)
+    probs = np.exp(scores, out=scores)
+    probs /= np.sum(probs, axis=-1, keepdims=True)
+    dmask = autodiff._keep_mask(rng, probs.shape, 1.0 - p_drop) if train else None
+    probs_kept = probs if dmask is None else probs * dmask
+    out = np.ascontiguousarray((probs_kept @ vh).transpose(1, 0, 2)).reshape(lq, d)
+
+    g_h = np.ascontiguousarray(g.reshape(lq, n_heads, dh).transpose(1, 0, 2))
+    d_probs = g_h @ vh.transpose(0, 2, 1)
+    dv = np.ascontiguousarray((probs_kept.transpose(0, 2, 1) @ g_h).transpose(1, 0, 2))
+    if dmask is not None:
+        d_probs *= dmask
+    d_scores = probs * (d_probs - np.sum(d_probs * probs, axis=-1, keepdims=True))
+    d_table = np.zeros_like(table)
+    for h in range(n_heads):
+        np.add.at(d_table[h], idx[valid], d_scores[h][valid])
+    dq = np.ascontiguousarray(((d_scores @ kh) * scale).transpose(1, 0, 2))
+    dk = np.ascontiguousarray(((d_scores.transpose(0, 2, 1) @ qh) * scale).transpose(1, 0, 2))
+    return out, (dq.reshape(lq, d), dk.reshape(lk, d), dv.reshape(lk, d), d_table)
+
+
+class TestAttentionCoreParity:
+    """attention_core equals the earlier implementation byte for byte, in
+    its output and every gradient."""
+
+    def check(self, lq, lk, idx, mask, ref_mask=None, rows=None, cols=None):
+        rng = np.random.default_rng(lq * 100 + lk)
+        q, k, v = (rng.normal(size=(n, 8)) for n in (lq, lk, lk))
+        table = rng.normal(size=(2, 9))
+        g = rng.normal(size=(lq, 8))
+
+        def dropout_source():
+            if rows is None:
+                return None
+            return Streams([np.random.default_rng(s) for s in range(len(rows) - 1)],
+                           rows, cols)
+
+        train = rows is not None
+        ref_out, ref_grads = reference_attention_core(
+            q, k, v, 2, table, idx, mask if ref_mask is None else ref_mask,
+            0.3, dropout_source(), train, g)
+        leaves = [Tensor(a.copy(), requires_grad=True) for a in (q, k, v, table)]
+        with Tape() as tape:
+            out = attention_core(*leaves[:3], 2, leaves[3], idx, mask, 0.3,
+                                 dropout_source(), train)
+            root = reduce_sum(mul(out, Tensor(g)))
+        backward(tape, root)
+        assert out.data.tobytes() == ref_out.tobytes()
+        for leaf, ref in zip(leaves, ref_grads):
+            assert leaf.grad.tobytes() == ref.tobytes()
+
+    def test_one_example_with_non_text_rows_and_causal_mask(self):
+        idx = np.full((6, 6), -1, dtype=np.int64)
+        pos = np.arange(4)
+        idx[:4, :4] = pos[None, :] - pos[:, None] + 4
+        self.check(6, 6, idx, np.triu(np.full((6, 6), -1e30), k=1))
+
+    def test_masked_key_row_equals_the_full_mask(self):
+        # a one-row additive mask broadcasts to what the [Lq, Lk] copy gave
+        idx = np.arange(3 * 5).reshape(3, 5) % 9
+        row = np.where(np.arange(5) == 3, -1e30, 0.0)
+        self.check(3, 5, idx, row, ref_mask=np.broadcast_to(row, (3, 5)).copy())
+
+    def test_packed_batch_with_stream_dropout(self):
+        # three examples of 2, 3 and 2 query rows over 3, 1 and 4 key rows
+        rows, cols = [0, 2, 5, 7], [0, 3, 4, 8]
+        idx = np.full((7, 8), -1, dtype=np.int64)
+        mask = np.full((7, 8), -1e30)
+        for lo, hi, c0, c1 in zip(rows, rows[1:], cols, cols[1:]):
+            idx[lo:hi, c0:c1] = np.arange((hi - lo) * (c1 - c0)).reshape(hi - lo, -1) % 9
+            mask[lo:hi, c0:c1] = 0.0
+        idx[6, 7] = -1
+        self.check(7, 8, idx, mask, rows=rows, cols=cols)
+
+
+def primitive_calls():
+    """(name, call) for every primitive, each call building fresh inputs
+    that require gradients and fresh random sources."""
+    rng = np.random.default_rng(9)
+    a, b = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
+    sq, vec = rng.normal(size=(4, 4)), rng.normal(size=4)
+    table, idx = rng.normal(size=(2, 9)), np.arange(9).reshape(3, 3) - 1
+
+    def t(x):
+        return Tensor(x.copy(), requires_grad=True)
+
+    return [
+        ("add", lambda: add(t(a), t(b))),
+        ("sub", lambda: sub(t(a), t(b))),
+        ("mul", lambda: mul(t(a), t(b))),
+        ("scalar_mul", lambda: scalar_mul(t(a), -1.5)),
+        ("matmul", lambda: matmul(t(a), t(sq))),
+        ("transpose", lambda: transpose(t(a))),
+        ("reshape", lambda: reshape(t(a), (2, 6))),
+        ("gather_rows", lambda: gather_rows(t(a), [2, 0, 2])),
+        ("concat_rows", lambda: concat_rows([t(a), t(b)])),
+        ("softmax_lastdim", lambda: softmax_lastdim(t(a))),
+        ("rms_norm", lambda: rms_norm(t(a), t(vec))),
+        ("gelu", lambda: gelu(t(a))),
+        ("dropout", lambda: dropout(t(a), 0.4, np.random.default_rng(3), True)),
+        ("cross_entropy_mean", lambda: cross_entropy_mean(t(a), [1, -1, 3])),
+        ("cosine_similarity", lambda: cosine_similarity(t(vec), t(sq[0]))),
+        ("row_cosine_similarity", lambda: cosine_similarity(t(a), t(b))),
+        ("reduce_mean", lambda: reduce_mean(t(a))),
+        ("reduce_sum", lambda: reduce_sum(t(a))),
+        ("attention_core", lambda: attention_core(
+            t(a[:, :4]), t(b), t(b[::-1]), 2, t(table), idx, None, 0.3,
+            Streams([np.random.default_rng(4)], [0, 3], [0, 3]), True)),
+    ]
+
+
+class TestTapeOff:
+    @pytest.mark.parametrize("name, call", primitive_calls())
+    def test_same_bytes_with_and_without_a_tape(self, name, call):
+        off = call()
+        with Tape() as tape:
+            on = call()
+        assert on.node is tape.nodes[-1] and off.node is None
+        assert off.data.dtype == on.data.dtype and off.data.shape == on.data.shape
+        assert off.data.tobytes() == on.data.tobytes()
+
+    @pytest.mark.parametrize("name, call", primitive_calls())
+    def test_no_tape_returns_before_recording(self, name, call, monkeypatch):
+        def fail(*args):
+            raise AssertionError(f"{name} reached _record with no tape active")
+        monkeypatch.setattr(autodiff, "_record", fail)
+        assert not call().requires_grad

@@ -3,6 +3,7 @@
 import json
 from pathlib import Path
 
+from kgt5lab import data
 from kgt5lab.cli import main
 from kgt5lab.harness import emit_report, parse_report_csv, run_from_manifest
 
@@ -134,6 +135,14 @@ class TestExperimentCommands:
         assert manifest["seeds"] == [1, 2]
         assert_manifest_reproduces_metrics(out)
 
+    def test_manifest_records_the_parsed_argv(self, tmp_path):
+        # not the host process's sys.argv, which under pytest is pytest's
+        argv = ["ablate", "--seeds", "1", "--config", write_config(tmp_path),
+                "--out", str(tmp_path / "ab")]
+        assert main(argv) == 0
+        manifest = json.loads((tmp_path / "ab" / "manifest.json").read_text())
+        assert manifest["argv"] == argv
+
     def test_seed_range_syntax(self, tmp_path):
         out = tmp_path / "ab2"
         code = main(["ablate", "--seeds", "1..3",
@@ -175,3 +184,17 @@ class TestIngestSquadCommand:
 
     def test_missing_file_exit_2(self):
         assert main(["ingest-squad", "--path", "/nonexistent/squad.json"]) == 2
+
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        out = tmp_path / "sq"
+        argv = ["ingest-squad", "--path", str(FIXTURES / "squad_v11_fixture.json"),
+                "--out", str(out)]
+        assert main(argv) == 0
+        before = (out / "squad_flat.jsonl").read_bytes()
+        ingest = data.ingest_squad
+        # the second record is no dataclass: the write fails after one line
+        monkeypatch.setattr(data, "ingest_squad", lambda path: ingest(path)[:1] + [None])
+        assert main(argv) == 2
+        assert (out / "squad_flat.jsonl").read_bytes() == before
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json",
+                                                         "squad_flat.jsonl"]

@@ -1,12 +1,17 @@
 """Joint loss, Adam, training loops and checkpoint tests."""
 
+import functools
 import hashlib
 import math
+import struct
+import tempfile
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
-
-from dataclasses import replace
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgt5lab import trainer
 from kgt5lab.autodiff import (Tape, Tensor, add, backward, cosine_similarity,
@@ -17,8 +22,9 @@ from kgt5lab.embeddings import EmbeddingTable, ZeroVectorError, cosine_sim
 from kgt5lab.model import (BOS_ID, PAD_ID, EncoderInput, ModelConfig,
                            ModelParams, build_augmented_input, build_vocab,
                            forward, span_corrupt)
-from kgt5lab.trainer import (AdamState, BadMagicError, CheckpointHeaderError,
-                             CheckpointLayoutError, CheckpointShapeError,
+from kgt5lab.trainer import (AdamState, BadMagicError, CheckpointEmbeddingError,
+                             CheckpointHeaderError, CheckpointLayoutError,
+                             CheckpointShapeError,
                              EmptyDatasetError, LossSpec,
                              NonFiniteTrainingError, TrainConfig,
                              TruncatedFileError, VersionUnsupportedError,
@@ -647,3 +653,79 @@ class TestCheckpoint:
         path.write_bytes(bytes(blob))
         with pytest.raises(CheckpointHeaderError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("key", ["kg_enabled", "model_config", "shape",
+                                     "tensors", "vocab_size", "embedding_dim"])
+    def test_renamed_header_key_is_header_error(self, tmp_path, key):
+        # one changed byte in a key's name drops that field from the header
+        path = self.saved(tmp_path)
+        blob = path.read_bytes()
+        at = blob.index(f'"{key}"'.encode()) + 2
+        path.write_bytes(blob[:at] + b"#" + blob[at + 1:])
+        with pytest.raises(CheckpointHeaderError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("keys, value", [
+        (("kg_enabled",), 1),
+        (("model_config", "vocab_size"), 3.5),
+        (("model_config", "n_heads"), 0),  # ModelConfig divided by it first
+        (("tensors", 0, "shape"), [4.5]),
+    ], ids=["kg_enabled", "vocab_size", "n_heads", "shape"])
+    def test_mistyped_header_field_is_header_error(self, tmp_path, keys, value):
+        path = self.saved(tmp_path)
+
+        def mistype(header):
+            for key in keys[:-1]:
+                header = header[key]
+            header[keys[-1]] = value
+
+        self.rewrite(path, mistype)
+        with pytest.raises(CheckpointHeaderError):
+            load_checkpoint(path)
+
+    def test_embedding_width_is_embedding_error(self, tmp_path):
+        path = self.saved(tmp_path)
+
+        def widen(header):
+            header["embedding_dim"] += 1
+
+        self.rewrite(path, widen)
+        with pytest.raises(CheckpointEmbeddingError):
+            load_checkpoint(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_one_byte_mutants_load_or_raise_checkpoint_error(self, data):
+        blob, header_end = mutation_base()
+        # half the draws land in the preamble and header, where the fields are
+        pos = data.draw(st.one_of(st.integers(0, header_end - 1),
+                                  st.integers(0, len(blob) - 1)))
+        mutated = bytearray(blob)
+        mutated[pos] = data.draw(st.integers(0, 255))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.ckpt"
+            path.write_bytes(bytes(mutated))
+            try:
+                load_checkpoint(path)
+            except CHECKPOINT_ERRORS:
+                pass
+
+
+CHECKPOINT_ERRORS = (BadMagicError, VersionUnsupportedError, TruncatedFileError,
+                     CheckpointHeaderError, CheckpointShapeError,
+                     CheckpointLayoutError, CheckpointEmbeddingError)
+
+
+@functools.lru_cache(maxsize=1)
+def mutation_base():
+    """A small saved checkpoint with embeddings and the end of its header."""
+    kg, _, _, vocab = small_world()
+    cfg = ModelConfig(vocab_size=len(vocab), d_model=8, n_layers=1, n_heads=2,
+                      d_ff=8, dropout_p=0.1, max_len=8, d_kg=4)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "base.ckpt"
+        save_checkpoint(ModelParams.init(cfg, seed=0),
+                        random_emb(kg.n_entities, kg.n_relations, d=4),
+                        {"vocab": vocab.tokens[:8]}, path)
+        blob = path.read_bytes()
+    return blob, 16 + struct.unpack_from("<I", blob, 12)[0]
