@@ -13,13 +13,18 @@ mean cross entropy, differentiable cosine similarity and mean/sum reductions.
 No broadcasting beyond what those shapes require, no fast-math anywhere.
 
 A packed batch (several examples' rows back to back in one tensor) draws
-its dropout masks through ``Streams``: one random stream per example, so
-each example sees the masks it would draw alone.
+its dropout masks through ``Streams``: each example draws every uniform of
+its step from its own Generator with one call, and each dropout site slices
+its blocks from those draws, so each example sees the masks it would draw
+alone.  In train mode ``attention_core`` exponentiates only the attendable
+scores: a masked score's ``exp`` is +0.0, which the output buffer already
+holds, so the probabilities keep their bytes.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -69,41 +74,70 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
-class Streams:
-    """One dropout stream per segment of a packed batch.
+class DropoutPlanError(ValueError):
+    """A dropout site asked an example for more draws than its step planned."""
 
-    Segment ``i`` owns rows ``rows[i]:rows[i+1]`` and draws its mask block
-    from ``gens[i]`` with the shape that segment draws when run alone, so
-    each segment sees the masks of an unpacked run.  For [H, Lq, Lk]
-    attention probabilities the block spans key columns ``cols[i]:cols[i+1]``
-    too (``cols`` defaults to ``rows``); entries outside every block are 0.
+
+class Streams:
+    """Every dropout mask of one packed step, drawn up front.
+
+    Example ``i`` draws all ``counts[i]`` uniforms of its step from
+    ``gens[i]`` with one ``random`` call, and all examples' draws are
+    thresholded and scaled (0 or 1/keep) in one operation.  Each
+    ``keep_mask`` call then takes every example's next block, with the
+    shape that example draws alone: rows ``rows[i]:rows[i+1]``, and for
+    [H, Lq, Lk] attention probabilities key columns ``cols[i]:cols[i+1]``
+    too; entries outside every block are 0.  PCG64's ``random(a + b)``
+    equals ``random(a)`` followed by ``random(b)``, so each block equals
+    the per-site draw bit for bit.  ``over`` gives the rows and columns
+    of one kind of site; every view shares the examples' positions, and a
+    block past an example's count raises ``DropoutPlanError``.
     """
 
-    __slots__ = ("gens", "rows", "cols")
+    __slots__ = ("scales", "keep", "pos", "ends", "rows", "cols")
 
-    def __init__(self, gens: Sequence[np.random.Generator], rows: Sequence[int],
-                 cols: Optional[Sequence[int]] = None):
-        self.gens = gens
-        self.rows = rows
-        self.cols = rows if cols is None else cols
+    def __init__(self, gens: Sequence[np.random.Generator], counts: Sequence[int],
+                 keep: float):
+        ends = [0, *accumulate(counts)]
+        u = np.empty(ends[-1])
+        for gen, lo, hi in zip(gens, ends, ends[1:]):
+            gen.random(out=u[lo:hi])
+        self.scales = np.divide(u < keep, keep, out=u)
+        self.keep = keep
+        self.pos = ends[:-1]
+        self.ends = ends[1:]
+        self.rows = self.cols = None
+
+    def over(self, rows: Sequence[int], cols: Optional[Sequence[int]] = None) -> "Streams":
+        """A view over packed ``rows`` (and key ``cols``, default ``rows``)."""
+        view = Streams.__new__(Streams)
+        view.scales, view.keep, view.pos, view.ends = self.scales, self.keep, self.pos, self.ends
+        view.rows = rows
+        view.cols = rows if cols is None else cols
+        return view
+
+    def _take(self, i: int, shape: tuple[int, ...]) -> np.ndarray:
+        lo = self.pos[i]
+        hi = lo + math.prod(shape)
+        if hi > self.ends[i]:
+            raise DropoutPlanError(f"example {i}: a {shape} mask block passes its "
+                                   f"planned draws")
+        self.pos[i] = hi
+        return self.scales[lo:hi].reshape(shape)
 
     def keep_mask(self, shape: tuple[int, ...], keep: float) -> np.ndarray:
-        mask = np.zeros(shape)
+        """Inverted-dropout scale mask (0 or 1/keep) of one site."""
+        if keep != self.keep:
+            raise ValueError(f"keep {keep} differs from the drawn keep {self.keep}")
         r, c = self.rows, self.cols
-        for i, gen in enumerate(self.gens):
-            if len(shape) == 2:
-                block = mask[r[i]:r[i + 1]]
-            else:
-                block = mask[..., r[i]:r[i + 1], c[i]:c[i + 1]]
-            block[...] = (gen.random(block.shape) < keep) / keep
+        if len(shape) == 2:  # example blocks are consecutive row ranges
+            return np.concatenate([self._take(i, (r[i + 1] - r[i], shape[1]))
+                                   for i in range(len(self.pos))])
+        mask = np.zeros(shape)
+        for i in range(len(self.pos)):
+            mask[..., r[i]:r[i + 1], c[i]:c[i + 1]] = self._take(
+                i, (shape[0], r[i + 1] - r[i], c[i + 1] - c[i]))
         return mask
-
-
-def _keep_mask(rng, shape: tuple[int, ...], keep: float) -> np.ndarray:
-    """Inverted-dropout scale mask (0 or 1/keep) from a Generator or Streams."""
-    if isinstance(rng, Streams):
-        return rng.keep_mask(shape, keep)
-    return (rng.random(shape) < keep) / keep
 
 
 class Node:
@@ -411,16 +445,17 @@ def gelu(x: Tensor) -> Tensor:
     return _record("gelu", out, (x,), bwd)
 
 
-def dropout(x: Tensor, p_drop: float, rng, train: bool) -> Tensor:
+def dropout(x: Tensor, p_drop: float, rng: Optional[Streams], train: bool) -> Tensor:
     """Inverted dropout: train-mode output has the input as its expectation.
 
-    ``rng`` is a Generator, or ``Streams`` over the rows of a packed batch.
+    ``rng`` is ``Streams`` over the rows of a packed batch (unused, and may
+    be None, in eval mode or at rate 0).
     """
     if not (0.0 <= p_drop < 1.0):
         raise ValueError(f"p_drop must be in [0, 1), got {p_drop}")
     if not train or p_drop == 0.0:
         return x
-    mask = _keep_mask(rng, x.data.shape, 1.0 - p_drop)
+    mask = rng.keep_mask(x.data.shape, 1.0 - p_drop)
     out = Tensor(x.data * mask)
     if _ACTIVE is None:
         return out
@@ -570,7 +605,7 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
                    bias_idx: Optional[np.ndarray] = None,
                    mask: Optional[np.ndarray] = None,
                    p_drop: float = 0.0,
-                   rng=None, train: bool = False) -> Tensor:
+                   rng: Optional[Streams] = None, train: bool = False) -> Tensor:
     """Fused multi-head scaled-dot-product attention over projected q/k/v.
 
     Heads are contiguous column blocks of the [L, d] inputs.  ``bias_table``
@@ -579,8 +614,12 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
     appended to the table, so a fixed index needs no per-call validity mask
     or clipped copy.  ``mask`` is an additive constant that broadcasts
     against [Lq, Lk], such as one row over the key columns.
-    Dropout applies to the attention probabilities; ``rng`` is a Generator,
-    or ``Streams`` over the query rows and key columns of a packed batch.
+    Dropout applies to the attention probabilities; ``rng`` is ``Streams``
+    over the query rows and key columns of a packed batch.
+    In train mode only scores where ``mask`` is 0 are exponentiated; the
+    rest stay +0.0, which is what ``exp`` gives them, so every query row
+    needs an attendable key.  Decoding keeps the plain ``exp``: its masks
+    are a few rows, where the extra compare costs more than it saves.
     One tape node replaces the matmul/softmax composition for speed; the
     backward pass is the exact analytic gradient of that composition.
 
@@ -613,9 +652,13 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
     if mask is not None:
         scores += mask
     scores -= scores.max(axis=-1, keepdims=True)
-    probs = np.exp(scores, out=scores)
+    if train and mask is not None:
+        # a masked score's exp is +0.0: skip numpy's slow path for -1e30
+        probs = np.exp(scores, out=np.zeros(scores.shape), where=mask == 0)
+    else:
+        probs = np.exp(scores, out=scores)
     probs /= probs.sum(axis=-1, keepdims=True)
-    dmask = _keep_mask(rng, probs.shape, 1.0 - p_drop) if train and p_drop > 0.0 else None
+    dmask = rng.keep_mask(probs.shape, 1.0 - p_drop) if train and p_drop > 0.0 else None
     out_h = (probs if dmask is None else probs * dmask) @ vh
     out = Tensor(out_h.transpose(1, 0, 2).reshape(lq, d))
     if _ACTIVE is None:

@@ -243,18 +243,40 @@ def save_qa_jsonl(dataset: Sequence[QAExample], kg: KnowledgeGraph, path) -> Non
             }, sort_keys=True) + "\n")
 
 
+def _gold_ids(rec, key: str, json_path: str, lookup) -> list[int]:
+    names = _require(rec, key, json_path)
+    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+        raise SchemaError(f"{json_path}.{key}", "expected a list of names")
+    try:
+        return [lookup(n) for n in names]
+    except LookupError as exc:  # UnknownEntityError, or KeyError for a relation
+        raise SchemaError(f"{json_path}.{key}", f"unknown name {exc}") from exc
+
+
 def load_qa_jsonl(path, kg: KnowledgeGraph) -> list[QAExample]:
+    """Read ``save_qa_jsonl`` output; a malformed record raises SchemaError
+    naming its line (counted from 1)."""
     out: list[QAExample] = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            out.append(QAExample(
-                question=rec["question"], answer=rec["answer"],
-                category=rec["category"],
-                gold_entities=[kg.entity_id(n) for n in rec["gold_entities"]],
-                gold_relations=[kg.relation_id(n) for n in rec["gold_relations"]]))
+    with open(path, "rb") as fh:
+        for n, raw in enumerate(fh, 1):
+            where = f"line {n}: $"
+            try:
+                line = raw.decode("utf-8")
+                if not line.strip():
+                    continue
+                rec = json.loads(line)
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                raise SchemaError(where, f"not a UTF-8 JSON record ({exc})") from exc
+            text = [_require(rec, key, where) for key in ("question", "answer", "category")]
+            if not all(isinstance(t, str) for t in text):
+                raise SchemaError(where, "question, answer and category must be strings")
+            if text[2] not in CATEGORIES:
+                raise SchemaError(f"{where}.category", f"unknown category {text[2]!r}")
+            out.append(QAExample(*text,
+                                 gold_entities=_gold_ids(rec, "gold_entities", where,
+                                                         kg.entity_id),
+                                 gold_relations=_gold_ids(rec, "gold_relations", where,
+                                                          kg.relation_id)))
     return out
 
 
@@ -269,9 +291,17 @@ def _require(obj, key, json_path: str):
 
 
 def ingest_squad(path) -> list[SquadExample]:
-    """Flatten SQuAD v1.1 JSON to one example per qa, validating offsets."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    """Flatten SQuAD v1.1 JSON to one example per qa, validating offsets.
+
+    Input that is not UTF-8 JSON or breaks the schema (such as an empty
+    answer text) raises SchemaError;
+    an answer whose ``answer_start`` (a non-negative int, not a bool) does
+    not locate its text in the context raises OffsetError."""
+    try:
+        with open(path, "rb") as fh:
+            doc = json.loads(fh.read().decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise SchemaError("$", f"not a UTF-8 JSON document ({exc})") from exc
     data = _require(doc, "data", "$")
     if not isinstance(data, list):
         raise SchemaError("$.data", "expected a list")
@@ -293,6 +323,8 @@ def ingest_squad(path) -> list[SquadExample]:
                 qpath = f"{ppath}.qas[{qi}]"
                 qa_id = _require(qa, "id", qpath)
                 question = _require(qa, "question", qpath)
+                if not isinstance(qa_id, str) or not isinstance(question, str):
+                    raise SchemaError(qpath, "id and question must be strings")
                 answers = _require(qa, "answers", qpath)
                 if not isinstance(answers, list) or not answers:
                     raise SchemaError(f"{qpath}.answers", "v1.1 answers must be nonempty")
@@ -301,13 +333,13 @@ def ingest_squad(path) -> list[SquadExample]:
                     kpath = f"{qpath}.answers[{ki}]"
                     text = _require(ans, "text", kpath)
                     start = _require(ans, "answer_start", kpath)
-                    if not isinstance(text, str) or not isinstance(start, int):
-                        raise SchemaError(kpath, "bad answer types")
-                    if context[start:start + len(text)] != text:
-                        raise OffsetError(str(qa_id))
+                    if not isinstance(text, str) or not text or type(start) is not int:
+                        raise SchemaError(kpath, "bad answer types or empty text")
+                    if start < 0 or context[start:start + len(text)] != text:
+                        raise OffsetError(qa_id)
                     parsed.append(SquadAnswer(text=text, answer_start=start))
-                out.append(SquadExample(id=str(qa_id), context=context,
-                                        question=str(question), answers=parsed))
+                out.append(SquadExample(id=qa_id, context=context,
+                                        question=question, answers=parsed))
     return out
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 from typing import NamedTuple, Optional, Sequence
 
@@ -338,6 +339,14 @@ class EncoderInput:
     def segments(self) -> tuple[tuple[int, int], ...]:
         return tuple(zip(self.n_text, self.lengths))
 
+    @cached_property
+    def additive_masks(self) -> tuple[Optional[np.ndarray], ...]:
+        """Per example, its additive mask row over its own rows (None: all
+        attendable), built once for the encoder and the cross-attention."""
+        if np.all(self.mask > 0):
+            return (None,) * len(self.lengths)
+        return tuple(_mask_to_additive(m) for m in _example_masks(self.mask, self.lengths))
+
 
 def kg_row_tensors(emb) -> tuple[Tensor, Tensor]:
     """The (entity, relation) Tensors of an EmbeddingTable or of such a pair."""
@@ -450,12 +459,23 @@ def _offsets(lengths: Sequence[int]) -> list[int]:
     return [0, *accumulate(lengths)]
 
 
-def _streams(rngs, rows: Sequence[int], cols: Optional[Sequence[int]] = None):
-    """Dropout source over packed rows (and attention key columns) from one
-    Generator per example; None stays None."""
-    if rngs is None:
+def _streams(rng: Optional[Streams], rows: Sequence[int],
+             cols: Optional[Sequence[int]] = None) -> Optional[Streams]:
+    """The step's dropout draws over packed rows (and attention key
+    columns); None stays None."""
+    if rng is None:
         return None
-    return Streams(rngs, _offsets(rows), None if cols is None else _offsets(cols))
+    return rng.over(_offsets(rows), None if cols is None else _offsets(cols))
+
+
+def _dropout_count(cfg: ModelConfig, n: int, t: int) -> int:
+    """Dropout uniforms one example draws in a training forward with ``n``
+    encoder and ``t`` decoder rows: per stack its input, per layer each
+    attention's [H, Lq, Lk] probabilities and each residual branch."""
+    d, h = cfg.d_model, cfg.n_heads
+    enc = n * d + cfg.n_layers * (h * n * n + 2 * n * d)
+    dec = t * d + cfg.n_layers * (h * t * t + h * t * n + 3 * t * d)
+    return enc + dec
 
 
 def _example_masks(mask: np.ndarray, lengths: Sequence[int]) -> list[np.ndarray]:
@@ -491,16 +511,16 @@ def _ffn(w: tuple[Tensor, Tensor], x: Tensor) -> Tensor:
     return matmul(gelu(matmul(x, w[0])), w[1])
 
 
-def encode(params: ModelParams, enc_input: EncoderInput, rng, train: bool) -> Tensor:
-    """Encoder output rows; ``rng`` is None or one dropout Generator per example."""
+def encode(params: ModelParams, enc_input: EncoderInput, rng: Optional[Streams],
+           train: bool) -> Tensor:
+    """Encoder output rows; ``rng`` is None or the step's dropout draws."""
     cfg = params.config
     segments = enc_input.segments
     lengths = [n for _, n in segments]
     shapes = [(n, n) for n in lengths]
     bias_idx = _block_diag([_bias_idx(t, n, cfg.max_len) for t, n in segments],
                            shapes, -1)
-    mask = _block_diag([_mask_to_additive(m) for m in _example_masks(enc_input.mask, lengths)],
-                       shapes, NEG_INF)
+    mask = _block_diag(enc_input.additive_masks, shapes, NEG_INF)
     rng = _streams(rng, lengths)
     x = dropout(enc_input.rows, cfg.dropout_p, rng, train)
     for i in range(cfg.n_layers):
@@ -522,7 +542,7 @@ class _Cross(NamedTuple):
     layers: list
     kv: list[tuple[Tensor, Tensor]]
     enc_lengths: tuple[int, ...]
-    enc_masks: list[Optional[np.ndarray]]
+    enc_masks: tuple[Optional[np.ndarray], ...]
 
 
 def _cross(params: ModelParams, enc_out: Tensor, enc_input: EncoderInput) -> _Cross:
@@ -531,19 +551,18 @@ def _cross(params: ModelParams, enc_out: Tensor, enc_input: EncoderInput) -> _Cr
               for i in range(params.config.n_layers)]
     kv = [(matmul(enc_out, cross_w[1]), matmul(enc_out, cross_w[2]))
           for _, (_, cross_w), _ in layers]
-    return _Cross(layers, kv, enc_input.lengths,
-                  [_mask_to_additive(m)
-                   for m in _example_masks(enc_input.mask, enc_input.lengths)])
+    return _Cross(layers, kv, enc_input.lengths, enc_input.additive_masks)
 
 
 def _decode_stack(params: ModelParams, decoder_ids: Sequence[int],
-                  dec_lengths: Sequence[int], cross: _Cross, rng, train: bool) -> Tensor:
+                  dec_lengths: Sequence[int], cross: _Cross, rng: Optional[Streams],
+                  train: bool) -> Tensor:
     """Logits [len(decoder_ids), vocab] of the decoder stack over whole
     prefixes, attending to the encoder through ``cross``.
 
     ``decoder_ids`` holds each example's prefix (``dec_lengths``) back to
-    back, in the order of the encoded examples; ``rng`` is None or one
-    dropout Generator per example.  Only what depends on the prefixes is
+    back, in the order of the encoded examples; ``rng`` is None or the
+    step's dropout draws.  Only what depends on the prefixes is
     built here: the relative-position index, the causal mask and, for a
     batch of several, the block-diagonal arrangement of the cross masks.
     """
@@ -582,8 +601,11 @@ def forward(params: ModelParams, enc_input: EncoderInput,
 
     ``decoder_ids`` holds one id list and ``seed`` one dropout seed per
     example of ``enc_input``; a batch of one may pass its flat id list and
-    an int seed.  Each example draws its dropout masks from its own seed in
-    the order it would alone, so packing changes only how sums round.
+    an int seed.  In train mode each example draws all dropout uniforms of
+    the step from its own seed with one call (``_dropout_count`` of them),
+    and every dropout site takes its blocks from those draws in the order
+    the example would draw them alone, so packing changes only how sums
+    round.
     """
     cfg = params.config
     id_lists, seeds = ([decoder_ids], [seed]) if np.isscalar(seed) else (decoder_ids, seed)
@@ -595,11 +617,16 @@ def forward(params: ModelParams, enc_input: EncoderInput,
         if len(ids) > cfg.max_len:
             raise TooLongError(f"decoder length {len(ids)} > max_len {cfg.max_len}")
     _check_encoder_length(params, enc_input)
-    rngs = [np.random.default_rng(seed_seq(s, "dropout")) for s in seeds]
-    enc_out = encode(params, enc_input, rngs, train_mode)
+    rng = None
+    if train_mode and cfg.dropout_p > 0.0:
+        rng = Streams([np.random.default_rng(seed_seq(s, "dropout")) for s in seeds],
+                      [_dropout_count(cfg, n, len(ids))
+                       for (_, n), ids in zip(enc_input.segments, id_lists)],
+                      1.0 - cfg.dropout_p)
+    enc_out = encode(params, enc_input, rng, train_mode)
     return _decode_stack(params, [i for ids in id_lists for i in ids],
                          [len(ids) for ids in id_lists], _cross(params, enc_out, enc_input),
-                         rngs, train_mode)
+                         rng, train_mode)
 
 
 def greedy_decode(params: ModelParams, enc_input: EncoderInput,
@@ -609,14 +636,14 @@ def greedy_decode(params: ModelParams, enc_input: EncoderInput,
     ``enc_input`` holds one example.  Returns the generated ids without
     BOS/EOS.  Ties resolve to the lowest token id.
 
-    Once per question: the encoder pass, and in ``_cross`` each decoder
-    layer's weights, its cross-attention keys and values and the additive
-    mask over the encoder rows.  Per step: ``_decode_stack`` over the whole
-    prefix, which adds only the prefix-length relative-position index and
-    causal mask (both cached by length).  Each step's logits equal, bit for
-    bit, those of ``forward`` in eval mode: a single-row matmul is not
-    bit-equal to the same row of a multi-row one, so the prefix is not
-    cached.
+    Once per question: the additive mask over the encoder rows (shared by
+    the encoder and ``_cross``), the encoder pass, and in ``_cross`` each
+    decoder layer's weights and its cross-attention keys and values.  Per
+    step: ``_decode_stack`` over the whole prefix, which adds only the
+    prefix-length relative-position index and causal mask (both cached by
+    length).  Each step's logits equal, bit for bit, those of ``forward``
+    in eval mode: a single-row matmul is not bit-equal to the same row of a
+    multi-row one, so the prefix is not cached.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")

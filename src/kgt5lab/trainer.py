@@ -173,8 +173,10 @@ def loss_prime(base_loss: Tensor, sim: Tensor, sim_weight: float) -> Tensor:
 def global_norm(grads: dict[str, np.ndarray],
                 sparse: Optional[dict[str, tuple[np.ndarray, np.ndarray]]] = None) -> float:
     """L2 norm over dense gradients and sparse gradient rows together."""
-    sq = sum(float(np.sum(g * g)) for _, g in sorted(grads.items()))
-    sq += sum(float(np.sum(rows * rows)) for _, (_, rows) in sorted((sparse or {}).items()))
+    # np.add.reduce is what np.sum runs, without the wrapper's dispatch
+    sq = sum(float(np.add.reduce(g * g, axis=None)) for _, g in sorted(grads.items()))
+    sq += sum(float(np.add.reduce(rows * rows, axis=None))
+              for _, (_, rows) in sorted((sparse or {}).items()))
     return float(np.sqrt(sq))
 
 

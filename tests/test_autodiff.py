@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from kgt5lab import autodiff
-from kgt5lab.autodiff import (DetachedRootError, NotScalarRootError,
+from kgt5lab.autodiff import (DetachedRootError, DropoutPlanError, NotScalarRootError,
                               ShapeMismatchError, Streams, Tape,
                               TargetOutOfRangeError, Tensor, add,
                               attention_core, backward,
@@ -241,7 +241,7 @@ class TestDropout:
         rng = np.random.default_rng(11)
         n, width = 100_000, 8
         x = Tensor(np.full((n, width), 2.0))
-        out = dropout(x, 0.3, rng, train=True).data
+        out = dropout(x, 0.3, Streams([rng], [n * width], 1.0 - 0.3).over([0, n]), train=True).data
         mean = out.mean(axis=0)
         assert np.all(np.abs(mean - 2.0) / 2.0 < 0.01)
 
@@ -251,22 +251,39 @@ class TestDropout:
 
     def test_streams_draw_each_segment_as_alone(self):
         x = np.arange(1.0, 19.0).reshape(6, 3)
-        alone = [dropout(Tensor(x[lo:hi]), 0.4, np.random.default_rng(s), True).data
+        alone = [x[lo:hi] * ((np.random.default_rng(s).random((hi - lo, 3)) < 0.6) / 0.6)
                  for s, (lo, hi) in enumerate([(0, 2), (2, 3), (3, 6)])]
         gens = [np.random.default_rng(s) for s in range(3)]
-        packed = dropout(Tensor(x), 0.4, Streams(gens, [0, 2, 3, 6]), True).data
+        streams = Streams(gens, [6, 3, 9], 1.0 - 0.4).over([0, 2, 3, 6])
+        packed = dropout(Tensor(x), 0.4, streams, True).data
         assert np.array_equal(packed, np.concatenate(alone))
 
     def test_streams_attention_blocks(self):
         # per-head [H, Lq, Lk] masks: each segment's block as drawn alone,
         # zero between segments
         gens = [np.random.default_rng(s) for s in (7, 8)]
-        mask = Streams(gens, [0, 2, 5], [0, 3, 4]).keep_mask((2, 5, 4), 0.5)
+        mask = Streams(gens, [12, 6], 0.5).over([0, 2, 5], [0, 3, 4]).keep_mask((2, 5, 4), 0.5)
         a = (np.random.default_rng(7).random((2, 2, 3)) < 0.5) / 0.5
         b = (np.random.default_rng(8).random((2, 3, 1)) < 0.5) / 0.5
         assert np.array_equal(mask[:, :2, :3], a)
         assert np.array_equal(mask[:, 2:, 3:], b)
         assert not mask[:, :2, 3:].any() and not mask[:, 2:, :3].any()
+
+    def test_streams_views_share_positions_in_draw_order(self):
+        # a [3, 2] row block, then a [1, 3, 3] attention block, then past the plan
+        streams = Streams([np.random.default_rng(5)], [6 + 9], 0.5)
+        rows = streams.over([0, 3]).keep_mask((3, 2), 0.5)
+        probs = streams.over([0, 3], [0, 3]).keep_mask((1, 3, 3), 0.5)
+        u = np.random.default_rng(5).random(15)
+        assert rows.tobytes() == ((u[:6] < 0.5) / 0.5).reshape(3, 2).tobytes()
+        assert probs.tobytes() == ((u[6:] < 0.5) / 0.5).reshape(1, 3, 3).tobytes()
+        with pytest.raises(DropoutPlanError):
+            streams.over([0, 1]).keep_mask((1, 1), 0.5)
+
+    def test_streams_reject_another_rate(self):
+        streams = Streams([np.random.default_rng(0)], [4], 0.5)
+        with pytest.raises(ValueError):
+            dropout(Tensor(np.ones((2, 2))), 0.4, streams.over([0, 2]), True)
 
 
 class TestRmsNorm:
@@ -416,7 +433,8 @@ class TestGradChecksAllPrimitives:
         # a fixed seed gives the same mask on every call, so the op is
         # differentiable; dropout stays off in every other gradient check
         def f(x):
-            return reduce_mean(dropout(x, 0.4, np.random.default_rng(5), train=True))
+            streams = Streams([np.random.default_rng(5)], [16], 1.0 - 0.4)
+            return reduce_mean(dropout(x, 0.4, streams.over([0, 4]), train=True))
         self.check(f, seeded_points((4, 4)))
 
     def test_attention_core(self):
@@ -478,7 +496,7 @@ def reference_attention_core(q, k, v, n_heads, table, idx, mask, p_drop, rng,
     scores -= np.max(scores, axis=-1, keepdims=True)
     probs = np.exp(scores, out=scores)
     probs /= np.sum(probs, axis=-1, keepdims=True)
-    dmask = autodiff._keep_mask(rng, probs.shape, 1.0 - p_drop) if train else None
+    dmask = rng.keep_mask(probs.shape, 1.0 - p_drop) if train else None
     probs_kept = probs if dmask is None else probs * dmask
     out = np.ascontiguousarray((probs_kept @ vh).transpose(1, 0, 2)).reshape(lq, d)
 
@@ -509,8 +527,10 @@ class TestAttentionCoreParity:
         def dropout_source():
             if rows is None:
                 return None
+            blocks = [2 * (r1 - r0) * (c1 - c0)
+                      for r0, r1, c0, c1 in zip(rows, rows[1:], cols, cols[1:])]
             return Streams([np.random.default_rng(s) for s in range(len(rows) - 1)],
-                           rows, cols)
+                           blocks, 1.0 - 0.3).over(rows, cols)
 
         train = rows is not None
         ref_out, ref_grads = reference_attention_core(
@@ -549,6 +569,18 @@ class TestAttentionCoreParity:
         idx[6, 7] = -1
         self.check(7, 8, idx, mask, rows=rows, cols=cols)
 
+    def test_packed_train_step_with_causal_blocks(self):
+        # train mode exponentiates only attendable scores: off-block and
+        # causal entries of three square blocks of 3, 1 and 4 rows are -1e30
+        rows = [0, 3, 4, 8]
+        idx = np.full((8, 8), -1, dtype=np.int64)
+        mask = np.full((8, 8), -1e30)
+        for lo, hi in zip(rows, rows[1:]):
+            pos = np.arange(hi - lo)
+            idx[lo:hi, lo:hi] = pos[None, :] - pos[:, None] + 4
+            mask[lo:hi, lo:hi] = np.triu(np.full((hi - lo, hi - lo), -1e30), k=1)
+        self.check(8, 8, idx, mask, rows=rows, cols=rows)
+
 
 def primitive_calls():
     """(name, call) for every primitive, each call building fresh inputs
@@ -574,7 +606,8 @@ def primitive_calls():
         ("softmax_lastdim", lambda: softmax_lastdim(t(a))),
         ("rms_norm", lambda: rms_norm(t(a), t(vec))),
         ("gelu", lambda: gelu(t(a))),
-        ("dropout", lambda: dropout(t(a), 0.4, np.random.default_rng(3), True)),
+        ("dropout", lambda: dropout(
+            t(a), 0.4, Streams([np.random.default_rng(3)], [12], 1.0 - 0.4).over([0, 3]), True)),
         ("cross_entropy_mean", lambda: cross_entropy_mean(t(a), [1, -1, 3])),
         ("cosine_similarity", lambda: cosine_similarity(t(vec), t(sq[0]))),
         ("row_cosine_similarity", lambda: cosine_similarity(t(a), t(b))),
@@ -582,7 +615,7 @@ def primitive_calls():
         ("reduce_sum", lambda: reduce_sum(t(a))),
         ("attention_core", lambda: attention_core(
             t(a[:, :4]), t(b), t(b[::-1]), 2, t(table), idx, None, 0.3,
-            Streams([np.random.default_rng(4)], [0, 3], [0, 3]), True)),
+            Streams([np.random.default_rng(4)], [2 * 3 * 3], 1.0 - 0.3).over([0, 3]), True)),
     ]
 
 

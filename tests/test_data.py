@@ -1,11 +1,15 @@
 """Synthetic world generation, QA sampling, splits and SQuAD ingestion."""
 
+import functools
 import json
 import os
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgt5lab.data import (BadRatiosError, CATEGORIES, InfeasibleCountError,
                           OffsetError, SQUAD_V11_DEV_EXPECTED_COUNT,
@@ -16,6 +20,18 @@ from kgt5lab.kg import link_mentions
 from kgt5lab.model import tokenize
 
 FIXTURES = Path(__file__).parent / "fixtures"
+SQUAD_FIXTURE = (FIXTURES / "squad_v11_fixture.json").read_bytes()
+
+
+@functools.cache
+def qa_world():
+    """A small graph and the bytes of a two-record QA file over it."""
+    kg = gen_synthetic_kg(SyntheticKGSpec(n_people=4, n_cities=2, n_countries=2,
+                                          occupations=("weaver",), seed=0))[0]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "qa.jsonl"
+        save_qa_jsonl(gen_qa(kg, {"hop1": 1, "hop2": 1}, seed=0), kg, path)
+        return kg, path.read_bytes()
 
 
 class TestGenSyntheticKg:
@@ -191,6 +207,49 @@ class TestQaJsonl:
         assert list(tmp_path.iterdir()) == [path]
 
 
+    @pytest.mark.parametrize("bad", [
+        b"{",  # not JSON
+        b"[1, 2]",  # not an object
+        b"\xff{}",  # not UTF-8
+        b'{"answer": "x", "category": "hop1", "gold_entities": [], "gold_relations": []}',
+        b'{"question": 3, "answer": "x", "category": "hop1", "gold_entities": [], '
+        b'"gold_relations": []}',
+        b'{"question": "q", "answer": "x", "category": "hop1", "gold_entities": "p", '
+        b'"gold_relations": []}',
+        b'{"question": "q", "answer": "x", "category": "hop1", "gold_entities": [1], '
+        b'"gold_relations": []}',
+        b'{"question": "q", "answer": "x", "category": "hop1", "gold_entities": ["nobody"], '
+        b'"gold_relations": []}',
+        b'{"question": "q", "answer": "x", "category": "hop1", "gold_entities": [], '
+        b'"gold_relations": ["no_such_relation"]}',
+        b'{"question": "q", "answer": "x", "category": "hop3", "gold_entities": [], '
+        b'"gold_relations": []}',
+    ], ids=["not-json", "not-object", "not-utf8", "no-question", "int-question",
+            "names-not-list", "int-name", "unknown-entity", "unknown-relation",
+            "unknown-category"])
+    def test_malformed_record_names_its_line(self, tmp_path, bad):
+        kg, blob = qa_world()
+        path = tmp_path / "qa.jsonl"
+        path.write_bytes(blob.splitlines(keepends=True)[0] + b"\n" + bad + b"\n")
+        with pytest.raises(SchemaError) as exc:
+            load_qa_jsonl(path, kg)
+        assert str(exc.value).startswith("line 3: $")
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_one_byte_mutants_load_or_raise_schema_error(self, data):
+        kg, blob = qa_world()
+        mutant = bytearray(blob)
+        mutant[data.draw(st.integers(0, len(blob) - 1))] = data.draw(st.integers(0, 255))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "qa.jsonl"
+            path.write_bytes(bytes(mutant))
+            try:
+                load_qa_jsonl(path, kg)
+            except SchemaError:
+                pass
+
+
 def squad_to_json(examples) -> dict:
     """Re-serialize parsed examples: consecutive same-context examples share
     one paragraph, all under a single article."""
@@ -239,6 +298,42 @@ class TestIngestSquad:
         bad.write_text(json.dumps(doc))
         with pytest.raises(SchemaError):
             ingest_squad(bad)
+
+    @pytest.mark.parametrize("text, start, error", [
+        ("abc", -7, OffsetError), ("abc", True, SchemaError), ("abc", 8, OffsetError),
+        ("abc", 0.0, SchemaError), ("", 7, SchemaError)])
+    def test_answer_is_nonempty_text_at_a_nonnegative_int_offset(self, tmp_path, text, start,
+                                                                 error):
+        doc = {"data": [{"paragraphs": [{"context": "abc def", "qas": [
+            {"id": "q", "question": "?", "answers": [{"text": text,
+                                                     "answer_start": start}]}]}]}]}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(error):
+            ingest_squad(bad)
+
+    @pytest.mark.parametrize("blob", [b'{"data": [}', SQUAD_FIXTURE.replace(b"Paris", b"P\xe9ris"),
+                                      b"\xef\xbb\xbf" + SQUAD_FIXTURE],
+                             ids=["not-json", "latin-1", "utf-8-bom"])
+    def test_undecodable_or_invalid_json_is_schema_error(self, tmp_path, blob):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(blob)
+        with pytest.raises(SchemaError) as exc:
+            ingest_squad(bad)
+        assert exc.value.json_path == "$"
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(0, len(SQUAD_FIXTURE) - 1), st.integers(0, 255))
+    def test_one_byte_mutants_load_or_raise_typed_errors(self, pos, value):
+        mutant = bytearray(SQUAD_FIXTURE)
+        mutant[pos] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "squad.json"
+            path.write_bytes(bytes(mutant))
+            try:
+                ingest_squad(path)
+            except (SchemaError, OffsetError):
+                pass
 
     def test_reserialize_reparse_round_trip(self, tmp_path):
         examples = ingest_squad(FIXTURES / "squad_v11_fixture.json")

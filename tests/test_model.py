@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from kgt5lab import model
+from kgt5lab import autodiff, model
 from kgt5lab.autodiff import Tensor, concat_rows, cross_entropy_mean, grad_check
-from kgt5lab.embeddings import EmbeddingTable
+from kgt5lab.embeddings import EmbeddingTable, seed_seq
 from kgt5lab.model import (AugmentedInput, BOS_ID, EOS_ID, EmptyCorpusError,
                            EncoderInput, FIRST_REGULAR_ID, MissingBOSError,
                            ModelConfig, ModelParams, N_SENTINELS, SEP_ID,
@@ -358,6 +358,86 @@ class TestPackedBatch:
         enc = build_augmented_input(PACKED_AUGS, emb, params)
         with pytest.raises(MissingBOSError):
             forward(params, enc, PACKED_DEC[:3] + [[48]], train_mode=False, seed=[0] * 4)
+
+
+class PerSiteStreams:
+    """The earlier dropout source of a packed batch: every keep_mask call
+    draws each segment's block from that segment's own Generator."""
+
+    def __init__(self, gens, rows, cols=None):
+        self.gens = gens
+        self.rows = rows
+        self.cols = rows if cols is None else cols
+
+    def keep_mask(self, shape, keep):
+        mask = np.zeros(shape)
+        r, c = self.rows, self.cols
+        for i, gen in enumerate(self.gens):
+            if len(shape) == 2:
+                block = mask[r[i]:r[i + 1]]
+            else:
+                block = mask[..., r[i]:r[i + 1], c[i]:c[i + 1]]
+            block[...] = (gen.random(block.shape) < keep) / keep
+        return mask
+
+
+class TestDropoutDraws:
+    """A training forward draws each example's dropout once, and every
+    mask equals the one drawn per site."""
+
+    SEEDS = [21, 22, 23]
+
+    def batch(self):
+        # encoder lengths 2, 7 and 5; decoder lengths 1, 4 and 2
+        cfg, params, emb = tiny_setup()
+        return cfg, params, build_augmented_input(PACKED_AUGS[1:], emb, params), PACKED_DEC[1:]
+
+    def test_every_mask_equals_the_per_site_draw(self, monkeypatch):
+        cfg, params, enc, dec = self.batch()
+        sites = []
+        keep_mask = autodiff.Streams.keep_mask
+
+        def recording(rng, shape, keep):
+            mask = keep_mask(rng, shape, keep)
+            sites.append((rng, shape, keep, mask))
+            return mask
+
+        monkeypatch.setattr(autodiff.Streams, "keep_mask", recording)
+        forward(params, enc, dec, train_mode=True, seed=self.SEEDS)
+        gens = [np.random.default_rng(seed_seq(s, "dropout")) for s in self.SEEDS]
+        enc_rows, dec_rows = (0, 2, 9, 14), (0, 1, 5, 7)
+        kinds = []
+        for rng, shape, keep, mask in sites:
+            ref = PerSiteStreams(gens, rng.rows, rng.cols).keep_mask(shape, keep)
+            assert mask.tobytes() == ref.tobytes()
+            kind = {(enc_rows, enc_rows): "enc", (dec_rows, dec_rows): "dec",
+                    (dec_rows, enc_rows): "cross"}[(tuple(rng.rows), tuple(rng.cols))]
+            kinds.append((kind, len(shape)))
+        n = cfg.n_layers
+        assert sorted(kinds) == sorted([("enc", 2)] * (1 + 2 * n) + [("enc", 3)] * n
+                                       + [("dec", 2)] * (1 + 3 * n) + [("dec", 3)] * n
+                                       + [("cross", 3)] * n)
+        assert sites[-1][0].pos == sites[-1][0].ends  # every planned draw used
+
+    def test_one_random_call_per_example_and_none_in_eval(self, monkeypatch):
+        cfg, params, enc, dec = self.batch()
+        calls = []
+        default_rng = np.random.default_rng
+
+        class CountingGenerator:
+            def __init__(self, seed):
+                self.gen = default_rng(seed)
+
+            def random(self, *args, **kwargs):
+                calls.append(args or kwargs)
+                return self.gen.random(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", CountingGenerator)
+        forward(params, enc, dec, train_mode=True, seed=self.SEEDS)
+        assert len(calls) == len(self.SEEDS)
+        calls.clear()
+        forward(params, enc, dec, train_mode=False, seed=self.SEEDS)
+        assert calls == []
 
 
 def reference_decode(params, enc, max_steps):
