@@ -249,7 +249,7 @@ def _gold_ids(rec, key: str, json_path: str, lookup) -> list[int]:
         raise SchemaError(f"{json_path}.{key}", "expected a list of names")
     try:
         return [lookup(n) for n in names]
-    except LookupError as exc:  # UnknownEntityError, or KeyError for a relation
+    except LookupError as exc:  # UnknownEntityError or UnknownRelationError
         raise SchemaError(f"{json_path}.{key}", f"unknown name {exc}") from exc
 
 

@@ -40,6 +40,10 @@ class UnknownEntityError(LookupError):
     pass
 
 
+class UnknownRelationError(LookupError):
+    pass
+
+
 def normalize_name(name: str) -> str:
     return unicodedata.normalize("NFC", name).lower()
 
@@ -99,7 +103,10 @@ class KnowledgeGraph:
         return self._entity_index[key]
 
     def relation_id(self, name: str) -> RelationId:
-        return self._relation_index[normalize_name(name)]
+        key = normalize_name(name)
+        if key not in self._relation_index:
+            raise UnknownRelationError(name)
+        return self._relation_index[key]
 
     def named_triples(self) -> list[tuple[str, str, str]]:
         return [(self.entity_names[t.head], self.relation_names[t.relation],

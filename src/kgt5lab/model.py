@@ -28,6 +28,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from . import autodiff
 from .autodiff import (Streams, Tensor, add, attention_core, concat_rows,
                        dropout, gather_rows, gelu, matmul, rms_norm)
 from .embeddings import EmbeddingTable, seed_seq
@@ -61,6 +62,10 @@ class TooLongError(ValueError):
 
 class MissingBOSError(ValueError):
     pass
+
+
+class PrefixTableMismatchError(ValueError):
+    """A decoder prefix table was passed with parameters it was not built for."""
 
 
 def tokenize(text: str) -> list[str]:
@@ -492,18 +497,13 @@ def _layer(params: ModelParams, prefix: str, blocks: Sequence[str]):
             (params[f"{prefix}.ffn.w1"], params[f"{prefix}.ffn.w2"]))
 
 
-def _attention(cfg: ModelConfig, w: tuple[Tensor, ...], x_q: Tensor,
-               kv: Optional[tuple[Tensor, Tensor]],
-               bias_table: Optional[Tensor], bias_idx: Optional[np.ndarray],
+def _attention(cfg: ModelConfig, w: tuple[Tensor, ...], x: Tensor,
+               bias_table: Tensor, bias_idx: np.ndarray,
                mask: Optional[np.ndarray], rng, train: bool) -> Tensor:
-    """Attention of ``x_q`` through ``w`` = (wq, wk, wv, wo) over
-    precomputed (keys, values) ``kv``, or over ``x_q`` itself
-    (self-attention) when ``kv`` is None."""
+    """Self-attention of ``x`` through ``w`` = (wq, wk, wv, wo)."""
     wq, wk, wv, wo = w
-    q = matmul(x_q, wq)
-    k, v = (matmul(x_q, wk), matmul(x_q, wv)) if kv is None else kv
-    core = attention_core(q, k, v, cfg.n_heads, bias_table, bias_idx, mask,
-                          cfg.dropout_p, rng, train)
+    core = attention_core(matmul(x, wq), matmul(x, wk), matmul(x, wv), cfg.n_heads,
+                          bias_table, bias_idx, mask, cfg.dropout_p, rng, train)
     return matmul(core, wo)
 
 
@@ -525,33 +525,69 @@ def encode(params: ModelParams, enc_input: EncoderInput, rng: Optional[Streams],
     x = dropout(enc_input.rows, cfg.dropout_p, rng, train)
     for i in range(cfg.n_layers):
         (ln1, ln2), (attn,), ffn = _layer(params, f"enc{i}", ("attn",))
-        a = _attention(cfg, attn, rms_norm(x, ln1), None,
-                       params["enc_rel_bias"], bias_idx, mask, rng, train)
+        a = _attention(cfg, attn, rms_norm(x, ln1), params["enc_rel_bias"], bias_idx,
+                       mask, rng, train)
         x = add(x, dropout(a, cfg.dropout_p, rng, train))
         f = _ffn(ffn, rms_norm(x, ln2))
         x = add(x, dropout(f, cfg.dropout_p, rng, train))
     return rms_norm(x, params["enc_norm"])
 
 
+class PrefixTable:
+    """Per answer prefix (the tuple of its decoder ids), the part of decoder
+    layer 0 that reads only the prefix: the self-attention block's output
+    after its residual add, and the cross-attention query of it.
+
+    Layer 0 sees the encoder only from its cross-attention on, so these
+    are the same bytes for every question that reaches the prefix, and a
+    split's questions share them.  A table is built for one ``params``
+    (checked by identity; the weights must not change while it lives) and
+    lives for one pass over a split: it holds at most questions x decode
+    steps entries of two [t, d_model] arrays each.
+    """
+
+    __slots__ = ("params", "entries")
+
+    def __init__(self, params: ModelParams):
+        self.params = params
+        self.entries: dict[tuple[int, ...], tuple[Tensor, Tensor]] = {}
+
+
 class _Cross(NamedTuple):
     """What every decoder step over one encoded batch reuses: each decoder
     layer's weights (``_layer``) and cross-attention (keys, values) of the
-    encoder output, and per example its encoder row count and additive mask
-    row (None: all attendable)."""
+    encoder output, per example its encoder row count and additive mask
+    row (None: all attendable), and the ``PrefixTable`` that greedy
+    decoding shares across the questions of a split (None: no sharing)."""
 
     layers: list
     kv: list[tuple[Tensor, Tensor]]
     enc_lengths: tuple[int, ...]
     enc_masks: tuple[Optional[np.ndarray], ...]
+    prefixes: Optional[PrefixTable]
 
 
-def _cross(params: ModelParams, enc_out: Tensor, enc_input: EncoderInput) -> _Cross:
+def _cross(params: ModelParams, enc_out: Tensor, enc_input: EncoderInput,
+           prefixes: Optional[PrefixTable] = None) -> _Cross:
     """The decoder's view of one encoded batch, built once for all steps."""
+    if prefixes is not None and prefixes.params is not params:
+        raise PrefixTableMismatchError("the prefix table was built for other params")
     layers = [_layer(params, f"dec{i}", ("self", "cross"))
               for i in range(params.config.n_layers)]
     kv = [(matmul(enc_out, cross_w[1]), matmul(enc_out, cross_w[2]))
           for _, (_, cross_w), _ in layers]
-    return _Cross(layers, kv, enc_input.lengths, enc_input.additive_masks)
+    return _Cross(layers, kv, enc_input.lengths, enc_input.additive_masks, prefixes)
+
+
+def _self_block(cfg: ModelConfig, layer, rel_bias: Tensor, y: Tensor,
+                bias_idx: np.ndarray, causal: np.ndarray, rng, train: bool
+                ) -> tuple[Tensor, Tensor]:
+    """A decoder layer up to its cross-attention: the causal self-attention
+    block with its residual add, and the cross-attention query of that."""
+    (ln1, ln2, _), (self_w, cross_w), _ = layer
+    a = _attention(cfg, self_w, rms_norm(y, ln1), rel_bias, bias_idx, causal, rng, train)
+    y = add(y, dropout(a, cfg.dropout_p, rng, train))
+    return y, matmul(rms_norm(y, ln2), cross_w[0])
 
 
 def _decode_stack(params: ModelParams, decoder_ids: Sequence[int],
@@ -565,6 +601,10 @@ def _decode_stack(params: ModelParams, decoder_ids: Sequence[int],
     step's dropout draws.  Only what depends on the prefixes is
     built here: the relative-position index, the causal mask and, for a
     batch of several, the block-diagonal arrangement of the cross masks.
+    In eval mode with no tape recording, layer 0 up to its cross-attention
+    (token embedding, self-attention block, cross query) comes from
+    ``cross.prefixes`` when it holds ``decoder_ids``, and is stored there
+    when it does not; the same primitives run in the same order either way.
     """
     cfg = params.config
     self_shapes = [(t, t) for t in dec_lengths]
@@ -575,14 +615,26 @@ def _decode_stack(params: ModelParams, decoder_ids: Sequence[int],
     causal = _block_diag([_causal_mask(t) for t in dec_lengths], self_shapes, NEG_INF)
     cross_rng = _streams(rng, dec_lengths, cross.enc_lengths)
     rng = _streams(rng, dec_lengths)
-    y = dropout(gather_rows(params["tok_emb"], decoder_ids), cfg.dropout_p, rng, train)
-    for ((ln1, ln2, ln3), (self_w, cross_w), ffn), kv in zip(cross.layers, cross.kv):
-        a = _attention(cfg, self_w, rms_norm(y, ln1), None,
-                       params["dec_rel_bias"], dec_bias_idx, causal, rng, train)
-        y = add(y, dropout(a, cfg.dropout_p, rng, train))
-        c = _attention(cfg, cross_w, rms_norm(y, ln2), kv, None, None, cross_mask,
-                       cross_rng, train)
-        y = add(y, dropout(c, cfg.dropout_p, rng, train))
+    rel_bias = params["dec_rel_bias"]
+    prefixes = cross.prefixes if not train and autodiff._ACTIVE is None else None
+    key = first = None
+    if prefixes is not None:
+        key = tuple(decoder_ids)
+        first = prefixes.entries.get(key)
+    if first is None:
+        y = dropout(gather_rows(params["tok_emb"], decoder_ids), cfg.dropout_p, rng, train)
+        first = _self_block(cfg, cross.layers[0], rel_bias, y, dec_bias_idx, causal,
+                            rng, train)
+        if prefixes is not None:
+            prefixes.entries[key] = first
+    y, q = first
+    for i, (layer, (k, v)) in enumerate(zip(cross.layers, cross.kv)):
+        (_, _, ln3), (_, cross_w), ffn = layer
+        if i:
+            y, q = _self_block(cfg, layer, rel_bias, y, dec_bias_idx, causal, rng, train)
+        c = attention_core(q, k, v, cfg.n_heads, None, None, cross_mask, cfg.dropout_p,
+                           cross_rng, train)
+        y = add(y, dropout(matmul(c, cross_w[3]), cfg.dropout_p, rng, train))
         f = _ffn(ffn, rms_norm(y, ln3))
         y = add(y, dropout(f, cfg.dropout_p, rng, train))
     return matmul(rms_norm(y, params["dec_norm"]), params["out_proj"])
@@ -630,7 +682,7 @@ def forward(params: ModelParams, enc_input: EncoderInput,
 
 
 def greedy_decode(params: ModelParams, enc_input: EncoderInput,
-                  max_steps: int) -> list[int]:
+                  max_steps: int, prefixes: Optional[PrefixTable] = None) -> list[int]:
     """Argmax decoding from BOS; stops at EOS or max_steps.
 
     ``enc_input`` holds one example.  Returns the generated ids without
@@ -643,14 +695,22 @@ def greedy_decode(params: ModelParams, enc_input: EncoderInput,
     prefix-length relative-position index and causal mask (both cached by
     length).  Each step's logits equal, bit for bit, those of ``forward``
     in eval mode: a single-row matmul is not bit-equal to the same row of a
-    multi-row one, so the prefix is not cached.
+    multi-row one, so a step does not extend the previous step's rows.
+
+    ``prefixes`` shares work across the questions of a split instead.
+    Decoder layer 0 reads the encoder only from its cross-attention on, so
+    its token embedding, self-attention block and cross query are a
+    function of the answer prefix alone: a prefix that an earlier question
+    reached takes them from the table, bit for bit, and a new one stores
+    them.  A table built for other params raises
+    ``PrefixTableMismatchError``.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     if len(enc_input.segments) != 1:
         raise ValueError(f"greedy_decode takes one example, got {len(enc_input.segments)}")
     _check_encoder_length(params, enc_input)
-    cross = _cross(params, encode(params, enc_input, None, False), enc_input)
+    cross = _cross(params, encode(params, enc_input, None, False), enc_input, prefixes)
     ids = [BOS_ID]
     out: list[int] = []
     for _ in range(max_steps):

@@ -584,36 +584,37 @@ class TestAttentionCoreParity:
 
 def primitive_calls():
     """(name, call) for every primitive, each call building fresh inputs
-    that require gradients and fresh random sources."""
+    that require gradients and fresh random sources.  A call takes an
+    optional input factory ``t`` (array -> Tensor)."""
     rng = np.random.default_rng(9)
     a, b = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
     sq, vec = rng.normal(size=(4, 4)), rng.normal(size=4)
     table, idx = rng.normal(size=(2, 9)), np.arange(9).reshape(3, 3) - 1
 
-    def t(x):
+    def fresh(x):
         return Tensor(x.copy(), requires_grad=True)
 
     return [
-        ("add", lambda: add(t(a), t(b))),
-        ("sub", lambda: sub(t(a), t(b))),
-        ("mul", lambda: mul(t(a), t(b))),
-        ("scalar_mul", lambda: scalar_mul(t(a), -1.5)),
-        ("matmul", lambda: matmul(t(a), t(sq))),
-        ("transpose", lambda: transpose(t(a))),
-        ("reshape", lambda: reshape(t(a), (2, 6))),
-        ("gather_rows", lambda: gather_rows(t(a), [2, 0, 2])),
-        ("concat_rows", lambda: concat_rows([t(a), t(b)])),
-        ("softmax_lastdim", lambda: softmax_lastdim(t(a))),
-        ("rms_norm", lambda: rms_norm(t(a), t(vec))),
-        ("gelu", lambda: gelu(t(a))),
-        ("dropout", lambda: dropout(
+        ("add", lambda t=fresh: add(t(a), t(b))),
+        ("sub", lambda t=fresh: sub(t(a), t(b))),
+        ("mul", lambda t=fresh: mul(t(a), t(b))),
+        ("scalar_mul", lambda t=fresh: scalar_mul(t(a), -1.5)),
+        ("matmul", lambda t=fresh: matmul(t(a), t(sq))),
+        ("transpose", lambda t=fresh: transpose(t(a))),
+        ("reshape", lambda t=fresh: reshape(t(a), (2, 6))),
+        ("gather_rows", lambda t=fresh: gather_rows(t(a), [2, 0, 2])),
+        ("concat_rows", lambda t=fresh: concat_rows([t(a), t(b)])),
+        ("softmax_lastdim", lambda t=fresh: softmax_lastdim(t(a))),
+        ("rms_norm", lambda t=fresh: rms_norm(t(a), t(vec))),
+        ("gelu", lambda t=fresh: gelu(t(a))),
+        ("dropout", lambda t=fresh: dropout(
             t(a), 0.4, Streams([np.random.default_rng(3)], [12], 1.0 - 0.4).over([0, 3]), True)),
-        ("cross_entropy_mean", lambda: cross_entropy_mean(t(a), [1, -1, 3])),
-        ("cosine_similarity", lambda: cosine_similarity(t(vec), t(sq[0]))),
-        ("row_cosine_similarity", lambda: cosine_similarity(t(a), t(b))),
-        ("reduce_mean", lambda: reduce_mean(t(a))),
-        ("reduce_sum", lambda: reduce_sum(t(a))),
-        ("attention_core", lambda: attention_core(
+        ("cross_entropy_mean", lambda t=fresh: cross_entropy_mean(t(a), [1, -1, 3])),
+        ("cosine_similarity", lambda t=fresh: cosine_similarity(t(vec), t(sq[0]))),
+        ("row_cosine_similarity", lambda t=fresh: cosine_similarity(t(a), t(b))),
+        ("reduce_mean", lambda t=fresh: reduce_mean(t(a))),
+        ("reduce_sum", lambda t=fresh: reduce_sum(t(a))),
+        ("attention_core", lambda t=fresh: attention_core(
             t(a[:, :4]), t(b), t(b[::-1]), 2, t(table), idx, None, 0.3,
             Streams([np.random.default_rng(4)], [2 * 3 * 3], 1.0 - 0.3).over([0, 3]), True)),
     ]
@@ -635,3 +636,28 @@ class TestTapeOff:
             raise AssertionError(f"{name} reached _record with no tape active")
         monkeypatch.setattr(autodiff, "_record", fail)
         assert not call().requires_grad
+
+
+class TestInputsUnchanged:
+    """Greedy decoding shares cached Tensors across questions, so no
+    primitive may write into its inputs' data, forward or backward."""
+
+    @pytest.mark.parametrize("taped", [False, True])
+    @pytest.mark.parametrize("name, call", primitive_calls())
+    def test_input_bytes_unchanged(self, name, call, taped):
+        inputs = []
+
+        def t(x):
+            inputs.append((Tensor(x.copy(), requires_grad=True), x.tobytes()))
+            return inputs[-1][0]
+
+        if taped:
+            with Tape() as tape:
+                out = call(t)
+                root = out if out.data.ndim == 0 else reduce_sum(out)
+            backward(tape, root)
+        else:
+            call(t)
+        assert inputs
+        for tensor, before in inputs:
+            assert tensor.data.tobytes() == before

@@ -84,6 +84,15 @@ class TestGenPipeline:
         assert code == 1
 
 
+    def test_gen_qa_graph_without_located_in_exits_1(self, tmp_path, capsys):
+        kg_path = tmp_path / "kg.tsv"
+        kg_path.write_text("person_0\tborn_in\tcity_0\nperson_0\tworks_as\tsmith\n")
+        code = main(["gen-qa", "--kg", str(kg_path), "--hop1", "1", "--context", "0",
+                     "--hop2", "0", "--out", str(tmp_path / "qa")])
+        assert code == 1
+        assert "validation error: located_in" in capsys.readouterr().err
+
+
 class TestTrainEvalPipeline:
     def test_pretrain_finetune_eval(self, tmp_path):
         kg_dir, qa_dir = tmp_path / "kg", tmp_path / "qa"

@@ -16,7 +16,7 @@ from kgt5lab.data import (BadRatiosError, CATEGORIES, InfeasibleCountError,
                           SchemaError, SyntheticKGSpec, gen_qa,
                           gen_synthetic_kg, ingest_squad, load_qa_jsonl,
                           save_qa_jsonl, split)
-from kgt5lab.kg import link_mentions
+from kgt5lab.kg import UnknownRelationError, from_named_triples, link_mentions
 from kgt5lab.model import tokenize
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -108,6 +108,12 @@ class TestGenQa:
         kg = self.world(people=5)
         with pytest.raises(InfeasibleCountError):
             gen_qa(kg, {"hop1": 6}, seed=0)
+
+    def test_graph_without_a_template_relation_raises_typed_error(self):
+        kg, _ = from_named_triples([("person_0", "born_in", "city_0"),
+                                    ("person_0", "works_as", "smith")])
+        with pytest.raises(UnknownRelationError, match="located_in"):
+            gen_qa(kg, {"hop1": 1}, seed=0)
 
     def test_linking_recovers_gold_entity_superset(self):
         kg = self.world()

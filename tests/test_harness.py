@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from kgt5lab import harness
+from kgt5lab import harness, model
 from kgt5lab.data import SyntheticKGSpec
 from kgt5lab.embeddings import TransEConfig, init_embeddings
 from kgt5lab.harness import (CSV_COLUMNS, ExperimentConfig, MetricsReport,
@@ -71,6 +71,44 @@ class TestEvalGolden:
             assert len(preds) == len(dataset)
             digests[variant] = hashlib.sha256(json.dumps(preds).encode()).hexdigest()
         assert digests == GOLDEN_EVAL_DIGESTS
+
+
+class TestEvalPrefixTable:
+    def test_one_table_per_call_whose_arrays_keep_their_bytes(self, monkeypatch):
+        exp = ExperimentConfig()
+        kg, corpus, dataset = build_world(exp)
+        vocab = build_vocabulary(corpus, dataset)
+        cfg = replace(exp.model, vocab_size=len(vocab))
+        params = ModelParams.init(cfg, 0)
+        emb = init_embeddings(kg, cfg.d_kg, 0)
+        tables, saved, per_call = [], {}, []
+        decode, stack = harness.greedy_decode, model._decode_stack
+
+        def recording_decode(*args):
+            tables.append(args[3])
+            return decode(*args)
+
+        def recording_stack(*args):
+            logits = stack(*args)  # the bytes of an entry right after it is stored
+            key = tuple(args[1])
+            saved.setdefault(key, [t.data.tobytes() for t in args[3].prefixes.entries[key]])
+            return logits
+
+        monkeypatch.setattr(harness, "greedy_decode", recording_decode)
+        monkeypatch.setattr(model, "_decode_stack", recording_stack)
+        for variant in ("none", "both"):
+            tables.clear()
+            saved.clear()
+            evaluate_split(params, vocab, kg, emb, dataset, variant, decode_steps=4)
+            table = tables[0]
+            per_call.append(table)
+            assert len(tables) == len(dataset)
+            assert all(t is table for t in tables) and table.params is params
+            assert 1 < len(table.entries) < len(dataset) * 4  # prefixes repeat
+            assert saved.keys() == table.entries.keys()
+            for key, arrays in table.entries.items():
+                assert [t.data.tobytes() for t in arrays] == saved[key], key
+        assert per_call[0] is not per_call[1]
 
 
 def tiny_experiment(max_steps=12, pre_steps=8):

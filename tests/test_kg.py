@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from kgt5lab.data import SyntheticKGSpec, gen_synthetic_kg
 from kgt5lab.kg import (InvalidFractionError, KnowledgeGraph,
                         MalformedLineError, Triple, UnknownEntityError,
+                        UnknownRelationError,
                         from_named_triples, link_mentions, load_triples_tsv,
                         save_triples_tsv, subgraph_fraction)
 
@@ -67,6 +68,12 @@ class TestLoadTriplesTsv:
         assert g.entity_id("PARIS") == 0
         with pytest.raises(UnknownEntityError):
             g.entity_id("berlin")
+
+    def test_unknown_relation_is_unknown_relation_error(self, tmp_path):
+        g, _ = load_triples_tsv(write(tmp_path, "Paris\tin\tFrance\n"))
+        assert g.relation_id("IN") == 0
+        with pytest.raises(UnknownRelationError, match="nope"):
+            g.relation_id("nope")
 
     def test_first_appearance_id_order(self, tmp_path):
         g, _ = load_triples_tsv(write(tmp_path, "a\tr\tb\nb\ts\tc\n"))

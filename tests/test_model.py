@@ -1,18 +1,24 @@
 """Vocabulary, span corruption, input augmentation and transformer tests."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from kgt5lab import autodiff, model
-from kgt5lab.autodiff import Tensor, concat_rows, cross_entropy_mean, grad_check
-from kgt5lab.embeddings import EmbeddingTable, seed_seq
+from kgt5lab.autodiff import (Tape, Tensor, concat_rows, cross_entropy_mean,
+                              grad_check)
+from kgt5lab.embeddings import EmbeddingTable, init_embeddings, seed_seq
+from kgt5lab.harness import ExperimentConfig, build_vocabulary, build_world
 from kgt5lab.model import (AugmentedInput, BOS_ID, EOS_ID, EmptyCorpusError,
                            EncoderInput, FIRST_REGULAR_ID, MissingBOSError,
-                           ModelConfig, ModelParams, N_SENTINELS, SEP_ID,
+                           ModelConfig, ModelParams, N_SENTINELS, PrefixTable,
+                           PrefixTableMismatchError, SEP_ID,
                            TooLongError, TooManySpansError, UNK_ID, Vocabulary,
                            build_augmented_input, build_vocab,
                            corrupt_with_spans, forward, greedy_decode,
                            span_corrupt, tokenize)
+from kgt5lab.trainer import prepare_examples
 
 
 class TestVocabulary:
@@ -566,6 +572,83 @@ class TestGreedyDecode:
 
         monkeypatch.setattr(model.np.random, "default_rng", no_rng)
         assert greedy_decode(params, enc, 4) == expected
+
+
+def pinned_inputs(weight_seed, variant, indices):
+    """Seeded untrained weights and the encoder inputs of the pinned world's
+    questions ``indices``."""
+    exp = ExperimentConfig()
+    kg, corpus, dataset = build_world(exp)
+    vocab = build_vocabulary(corpus, dataset)
+    cfg = replace(exp.model, vocab_size=len(vocab))
+    params = ModelParams.init(cfg, weight_seed)
+    emb = init_embeddings(kg, cfg.d_kg, weight_seed)
+    prepared = prepare_examples([dataset[i] for i in indices], kg, vocab, variant)
+    return params, [build_augmented_input(p.aug, emb, params) for p in prepared]
+
+
+class TestPrefixSharing:
+    def test_shared_decode_matches_one_forward_per_token(self, monkeypatch):
+        # weight seed 6, variant none: question 5 decodes what question 1
+        # does, 6 what 4 does, and 26 emits EOS after one token
+        params, encs = pinned_inputs(6, "none", [1, 5, 4, 6, 26])
+        table = PrefixTable(params)
+        rows = []
+        stack = model._decode_stack
+
+        def recording(*args):
+            logits = stack(*args)
+            rows.append(logits.data[-1].copy())
+            return logits
+
+        monkeypatch.setattr(model, "_decode_stack", recording)
+        outs, new_entries = [], []
+        for enc in encs:
+            ref_out, ref_rows = reference_decode(params, enc, 4)
+            rows.clear()
+            before = len(table.entries)
+            outs.append(greedy_decode(params, enc, 4, table))
+            new_entries.append(len(table.entries) - before)
+            assert outs[-1] == ref_out
+            assert len(rows) == len(ref_rows)
+            for step, (a, b) in enumerate(zip(rows, ref_rows)):
+                assert np.array_equal(a, b), step
+        assert outs[1] == outs[0] and new_entries[1] == 0  # every prefix cached
+        assert outs[3] == outs[2] and new_entries[3] == 0
+        assert len(outs[4]) < 4  # EOS won before the last step
+
+    def test_cached_prefix_makes_three_attention_calls_per_step(self, monkeypatch):
+        params, (enc,) = pinned_inputs(0, "both", [0])
+        table = PrefixTable(params)
+        calls = []
+        core = model.attention_core
+
+        def counting(*args):
+            calls.append(args[0].shape[0])
+            return core(*args)
+
+        monkeypatch.setattr(model, "attention_core", counting)
+        first = greedy_decode(params, enc, 4, table)
+        assert len(first) == 4 and len(calls) == 2 + 4 * 4  # encoder, then misses
+        calls.clear()
+        assert greedy_decode(params, enc, 4, table) == first
+        assert len(calls) == 2 + 4 * 3  # layer 0's self-attention is shared
+
+    def test_table_for_other_params_raises(self):
+        params, (enc,) = pinned_inputs(0, "none", [0])
+        for other in (params.copy(), ModelParams.init(params.config, 0)):
+            with pytest.raises(PrefixTableMismatchError):
+                greedy_decode(params, enc, 4, PrefixTable(other))
+        assert greedy_decode(params, enc, 4, PrefixTable(params)) == \
+            greedy_decode(params, enc, 4)
+
+    def test_not_read_or_written_while_a_tape_records(self):
+        params, (enc,) = pinned_inputs(0, "none", [0])
+        expected = greedy_decode(params, enc, 4)
+        table = PrefixTable(params)
+        with Tape():
+            assert greedy_decode(params, enc, 4, table) == expected
+        assert table.entries == {}
 
 
 class TestFullModelGradCheck:
