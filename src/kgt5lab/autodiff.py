@@ -7,10 +7,20 @@ With no active tape, every op computes its output and returns it before it
 builds a backward closure (the evaluation path).
 
 The primitive set is exactly what the encoder-decoder model and both loss
-terms need: elementwise add/sub/mul, scalar multiply, 2-D matmul, transpose,
-row gather, row concat, reshape, last-axis softmax, RMS norm, gelu, dropout,
-mean cross entropy, differentiable cosine similarity and mean/sum reductions.
-No broadcasting beyond what those shapes require, no fast-math anywhere.
+terms need: elementwise add/sub/mul, scalar multiply, matmul by a 2-D
+weight, transpose, row gather, row concat, reshape, last-axis softmax, RMS
+norm, gelu, dropout, mean cross entropy, differentiable cosine similarity
+and mean/sum reductions.  No broadcasting beyond what those shapes require,
+no fast-math anywhere.
+
+With no tape active, ``matmul``, ``gather_rows`` and ``attention_core``
+also take operands with leading batch axes (a stack of same-shape
+examples, as greedy decoding runs them).  numpy runs a stacked matmul as
+one 2-D call per slice and reduces each last-axis row on its own, so every
+slice equals, bit for bit, the 2-D call on that example alone; flattening
+the stack into more rows would not (a [1, d] product takes another BLAS
+routine than a [B, d] one).  Under a tape a leading axis raises
+``ShapeMismatchError``: training runs only 2-D operands.
 
 A packed batch (several examples' rows back to back in one tensor) draws
 its dropout masks through ``Streams``: each example draws every uniform of
@@ -306,9 +316,12 @@ def scalar_mul(a: Tensor, c: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """``a @ b`` for ``a`` [..., m, k] and ``b`` [k, n]."""
     ad, bd = a.data, b.data
-    if ad.ndim != 2 or bd.ndim != 2 or ad.shape[1] != bd.shape[0]:
+    if ad.ndim < 2 or bd.ndim != 2 or ad.shape[-1] != bd.shape[0]:
         raise ShapeMismatchError(f"matmul: {ad.shape} x {bd.shape}")
+    if ad.ndim > 2 and _ACTIVE is not None:
+        raise ShapeMismatchError(f"matmul: stacked {ad.shape} operand under a tape")
     out = Tensor(ad @ bd)
     if _ACTIVE is None:
         return out
@@ -349,12 +362,16 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 
 def gather_rows(m: Tensor, ids) -> Tensor:
-    """Rows ``m[ids]``; backward scatter-adds into the source's gradient."""
+    """Rows ``m[ids]``; backward scatter-adds into the source's gradient.
+
+    ``ids`` is 1-D, or with no tape active [..., t] (rows [..., t, d])."""
     if m.data.ndim != 2:
         raise ShapeMismatchError(f"gather_rows: need 2-D source, got {m.data.shape}")
     idx = np.asarray(ids, dtype=np.int64)
-    if idx.ndim != 1:
+    if idx.ndim < 1:
         raise ShapeMismatchError("gather_rows: ids must be 1-D")
+    if idx.ndim > 1 and _ACTIVE is not None:
+        raise ShapeMismatchError(f"gather_rows: stacked {idx.shape} ids under a tape")
     out = Tensor(m.data.take(idx, axis=0))
     if _ACTIVE is None:
         return out
@@ -613,7 +630,12 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
     [0, W) pick a column, and -1 (used for non-text rows) picks a zero column
     appended to the table, so a fixed index needs no per-call validity mask
     or clipped copy.  ``mask`` is an additive constant that broadcasts
-    against [Lq, Lk], such as one row over the key columns.
+    against the [H, Lq, Lk] scores, such as one row over the key columns.
+    With no tape active, q/k/v may be stacks [B, L, d] of same-shape
+    examples; the scores are then [B, H, Lq, Lk], the bias index and a
+    2-D mask apply to every slice, and a [B, 1, 1, Lk] mask gives each
+    slice its own key row.  Each slice equals the call on its example alone,
+    bit for bit: every matmul and last-axis reduction runs per slice.
     Dropout applies to the attention probabilities; ``rng`` is ``Streams``
     over the query rows and key columns of a packed batch.
     In train mode only scores where ``mask`` is 0 are exponentiated; the
@@ -626,24 +648,27 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
     Nothing is cached inside: every call splits the heads, scores, adds the
     bias and mask, normalizes and merges the heads back with one reshape.
     What is fixed the caller builds once and passes in: greedy decoding
-    builds each question's cross-attention keys, values and encoder mask
+    builds each stack's cross-attention keys, values and encoder mask
     once for all its steps, and takes the bias index and causal mask from
     per-length caches.  With no tape active the call returns before it
     builds the backward closure.
     """
-    lq, d = q.data.shape
-    lk = k.data.shape[0]
-    if d % n_heads != 0 or k.data.shape != v.data.shape or k.data.shape[1] != d:
+    *lead, lq, d = q.data.shape
+    lk = k.data.shape[-2]
+    if (d % n_heads != 0 or k.data.shape != v.data.shape or k.data.shape[-1] != d
+            or k.data.shape[:-2] != q.data.shape[:-2]):
         raise ShapeMismatchError(
             f"attention_core: q {q.data.shape}, k {k.data.shape}, v {v.data.shape}, "
             f"n_heads {n_heads}")
+    if lead and _ACTIVE is not None:
+        raise ShapeMismatchError(f"attention_core: stacked {q.data.shape} q under a tape")
     dh = d // n_heads
     scale = 1.0 / math.sqrt(dh)  # the same double as np.sqrt, without its dispatch
-    qh = np.ascontiguousarray(q.data.reshape(lq, n_heads, dh).transpose(1, 0, 2))
-    kh = np.ascontiguousarray(k.data.reshape(lk, n_heads, dh).transpose(1, 0, 2))
-    vh = np.ascontiguousarray(v.data.reshape(lk, n_heads, dh).transpose(1, 0, 2))
+    qh = np.ascontiguousarray(q.data.reshape(*lead, lq, n_heads, dh).swapaxes(-3, -2))
+    kh = np.ascontiguousarray(k.data.reshape(*lead, lk, n_heads, dh).swapaxes(-3, -2))
+    vh = np.ascontiguousarray(v.data.reshape(*lead, lk, n_heads, dh).swapaxes(-3, -2))
     # [H, Lq, Lk] buffers are reused in place: a packed batch makes them large
-    scores = qh @ kh.transpose(0, 2, 1)
+    scores = qh @ kh.swapaxes(-1, -2)
     scores *= scale
     if bias_table is not None:
         table = bias_table.data
@@ -660,7 +685,7 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
     probs /= probs.sum(axis=-1, keepdims=True)
     dmask = rng.keep_mask(probs.shape, 1.0 - p_drop) if train and p_drop > 0.0 else None
     out_h = (probs if dmask is None else probs * dmask) @ vh
-    out = Tensor(out_h.transpose(1, 0, 2).reshape(lq, d))
+    out = Tensor(out_h.swapaxes(-3, -2).reshape(*lead, lq, d))
     if _ACTIVE is None:
         return out
 

@@ -10,11 +10,12 @@ KG machinery at all.
 
 Training packs a batch into one encoder and one decoder sequence, and
 evaluation builds each question's encoder input with the same builder, as a
-pack of one.  Block-diagonal additive masks keep every example to itself:
-encoder rows attend only to their own example's rows, decoder rows causally
-to their own example's prefix and across only to their own example's encoder
-rows.  The relative-position indices are block-diagonal too, with no bias
-between examples.
+pack of one, then decodes same-shape questions together as a stack (a
+leading batch axis, see ``greedy_decode``).  Block-diagonal additive masks
+keep every example to itself: encoder rows attend only to their own
+example's rows, decoder rows causally to their own example's prefix and
+across only to their own example's encoder rows.  The relative-position
+indices are block-diagonal too, with no bias between examples.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from . import autodiff
 from .autodiff import (Streams, Tensor, add, attention_core, concat_rows,
                        dropout, gather_rows, gelu, matmul, rms_norm)
 from .embeddings import EmbeddingTable, seed_seq
@@ -64,8 +64,9 @@ class MissingBOSError(ValueError):
     pass
 
 
-class PrefixTableMismatchError(ValueError):
-    """A decoder prefix table was passed with parameters it was not built for."""
+class DecodeBatchMismatchError(ValueError):
+    """A decode batch was asked for a question under other parameters, for
+    another step count, or for an encoder input it does not hold."""
 
 
 def tokenize(text: str) -> list[str]:
@@ -333,7 +334,10 @@ class EncoderInput:
     """Encoder inputs of a batch back to back: example i owns ``lengths[i]``
     consecutive rows of ``rows`` [sum(lengths), d_model], the first
     ``n_text[i]`` of them text; ``mask`` (1 = attendable) covers every row.
-    A single question is a batch of one."""
+    A single question is a batch of one.  A stack of same-shape examples
+    (``_stack``) puts a leading axis on ``rows`` [B, L, d] and ``mask``
+    [B, L]: each slice is one example laid out as ``n_text`` and
+    ``lengths`` say."""
 
     rows: Tensor
     n_text: tuple[int, ...]
@@ -438,10 +442,12 @@ def _causal_mask(t: int) -> np.ndarray:
 
 def _mask_to_additive(mask: np.ndarray) -> Optional[np.ndarray]:
     """One additive row over the key columns (0 attendable, NEG_INF not),
-    which broadcasts over every query row; None when all are attendable."""
+    which broadcasts over every query row; None when all are attendable.
+    A stack's [B, Lk] mask gives [B, 1, 1, Lk], one row per slice."""
     if np.all(mask > 0):
         return None
-    return np.where(mask > 0, 0.0, NEG_INF)
+    rows = np.where(mask > 0, 0.0, NEG_INF)
+    return rows if rows.ndim == 1 else rows[:, None, None]
 
 
 def _block_diag(blocks: Sequence[Optional[np.ndarray]],
@@ -485,7 +491,7 @@ def _dropout_count(cfg: ModelConfig, n: int, t: int) -> int:
 
 def _example_masks(mask: np.ndarray, lengths: Sequence[int]) -> list[np.ndarray]:
     offsets = _offsets(lengths)
-    return [mask[lo:hi] for lo, hi in zip(offsets, offsets[1:])]
+    return [mask[..., lo:hi] for lo, hi in zip(offsets, offsets[1:])]
 
 
 def _layer(params: ModelParams, prefix: str, blocks: Sequence[str]):
@@ -533,78 +539,40 @@ def encode(params: ModelParams, enc_input: EncoderInput, rng: Optional[Streams],
     return rms_norm(x, params["enc_norm"])
 
 
-class PrefixTable:
-    """Per answer prefix (the tuple of its decoder ids), the part of decoder
-    layer 0 that reads only the prefix: the self-attention block's output
-    after its residual add, and the cross-attention query of it.
-
-    Layer 0 sees the encoder only from its cross-attention on, so these
-    are the same bytes for every question that reaches the prefix, and a
-    split's questions share them.  A table is built for one ``params``
-    (checked by identity; the weights must not change while it lives) and
-    lives for one pass over a split: it holds at most questions x decode
-    steps entries of two [t, d_model] arrays each.
-    """
-
-    __slots__ = ("params", "entries")
-
-    def __init__(self, params: ModelParams):
-        self.params = params
-        self.entries: dict[tuple[int, ...], tuple[Tensor, Tensor]] = {}
-
-
 class _Cross(NamedTuple):
     """What every decoder step over one encoded batch reuses: each decoder
     layer's weights (``_layer``) and cross-attention (keys, values) of the
-    encoder output, per example its encoder row count and additive mask
-    row (None: all attendable), and the ``PrefixTable`` that greedy
-    decoding shares across the questions of a split (None: no sharing)."""
+    encoder output, and per example its encoder row count and additive mask
+    row (None: all attendable)."""
 
     layers: list
     kv: list[tuple[Tensor, Tensor]]
     enc_lengths: tuple[int, ...]
     enc_masks: tuple[Optional[np.ndarray], ...]
-    prefixes: Optional[PrefixTable]
 
 
-def _cross(params: ModelParams, enc_out: Tensor, enc_input: EncoderInput,
-           prefixes: Optional[PrefixTable] = None) -> _Cross:
+def _cross(params: ModelParams, enc_out: Tensor, enc_input: EncoderInput) -> _Cross:
     """The decoder's view of one encoded batch, built once for all steps."""
-    if prefixes is not None and prefixes.params is not params:
-        raise PrefixTableMismatchError("the prefix table was built for other params")
     layers = [_layer(params, f"dec{i}", ("self", "cross"))
               for i in range(params.config.n_layers)]
     kv = [(matmul(enc_out, cross_w[1]), matmul(enc_out, cross_w[2]))
           for _, (_, cross_w), _ in layers]
-    return _Cross(layers, kv, enc_input.lengths, enc_input.additive_masks, prefixes)
+    return _Cross(layers, kv, enc_input.lengths, enc_input.additive_masks)
 
 
-def _self_block(cfg: ModelConfig, layer, rel_bias: Tensor, y: Tensor,
-                bias_idx: np.ndarray, causal: np.ndarray, rng, train: bool
-                ) -> tuple[Tensor, Tensor]:
-    """A decoder layer up to its cross-attention: the causal self-attention
-    block with its residual add, and the cross-attention query of that."""
-    (ln1, ln2, _), (self_w, cross_w), _ = layer
-    a = _attention(cfg, self_w, rms_norm(y, ln1), rel_bias, bias_idx, causal, rng, train)
-    y = add(y, dropout(a, cfg.dropout_p, rng, train))
-    return y, matmul(rms_norm(y, ln2), cross_w[0])
-
-
-def _decode_stack(params: ModelParams, decoder_ids: Sequence[int],
-                  dec_lengths: Sequence[int], cross: _Cross, rng: Optional[Streams],
-                  train: bool) -> Tensor:
+def _decode_stack(params: ModelParams, decoder_ids, dec_lengths: Sequence[int],
+                  cross: _Cross, rng: Optional[Streams], train: bool) -> Tensor:
     """Logits [len(decoder_ids), vocab] of the decoder stack over whole
     prefixes, attending to the encoder through ``cross``.
 
     ``decoder_ids`` holds each example's prefix (``dec_lengths``) back to
     back, in the order of the encoded examples; ``rng`` is None or the
-    step's dropout draws.  Only what depends on the prefixes is
-    built here: the relative-position index, the causal mask and, for a
-    batch of several, the block-diagonal arrangement of the cross masks.
-    In eval mode with no tape recording, layer 0 up to its cross-attention
-    (token embedding, self-attention block, cross query) comes from
-    ``cross.prefixes`` when it holds ``decoder_ids``, and is stored there
-    when it does not; the same primitives run in the same order either way.
+    step's dropout draws.  Over a stack (``_stack``), ``decoder_ids`` is
+    instead a [B, t] array of its slices' prefixes, ``dec_lengths`` is
+    ``(t,)`` and the logits are [B, t, vocab].  Only what depends on the
+    prefixes is built here: the relative-position index, the causal mask
+    and, for a batch of several, the block-diagonal arrangement of the
+    cross masks.
     """
     cfg = params.config
     self_shapes = [(t, t) for t in dec_lengths]
@@ -615,25 +583,13 @@ def _decode_stack(params: ModelParams, decoder_ids: Sequence[int],
     causal = _block_diag([_causal_mask(t) for t in dec_lengths], self_shapes, NEG_INF)
     cross_rng = _streams(rng, dec_lengths, cross.enc_lengths)
     rng = _streams(rng, dec_lengths)
-    rel_bias = params["dec_rel_bias"]
-    prefixes = cross.prefixes if not train and autodiff._ACTIVE is None else None
-    key = first = None
-    if prefixes is not None:
-        key = tuple(decoder_ids)
-        first = prefixes.entries.get(key)
-    if first is None:
-        y = dropout(gather_rows(params["tok_emb"], decoder_ids), cfg.dropout_p, rng, train)
-        first = _self_block(cfg, cross.layers[0], rel_bias, y, dec_bias_idx, causal,
-                            rng, train)
-        if prefixes is not None:
-            prefixes.entries[key] = first
-    y, q = first
-    for i, (layer, (k, v)) in enumerate(zip(cross.layers, cross.kv)):
-        (_, _, ln3), (_, cross_w), ffn = layer
-        if i:
-            y, q = _self_block(cfg, layer, rel_bias, y, dec_bias_idx, causal, rng, train)
-        c = attention_core(q, k, v, cfg.n_heads, None, None, cross_mask, cfg.dropout_p,
-                           cross_rng, train)
+    y = dropout(gather_rows(params["tok_emb"], decoder_ids), cfg.dropout_p, rng, train)
+    for ((ln1, ln2, ln3), (self_w, cross_w), ffn), (k, v) in zip(cross.layers, cross.kv):
+        a = _attention(cfg, self_w, rms_norm(y, ln1), params["dec_rel_bias"],
+                       dec_bias_idx, causal, rng, train)
+        y = add(y, dropout(a, cfg.dropout_p, rng, train))
+        c = attention_core(matmul(rms_norm(y, ln2), cross_w[0]), k, v, cfg.n_heads,
+                           None, None, cross_mask, cfg.dropout_p, cross_rng, train)
         y = add(y, dropout(matmul(c, cross_w[3]), cfg.dropout_p, rng, train))
         f = _ffn(ffn, rms_norm(y, ln3))
         y = add(y, dropout(f, cfg.dropout_p, rng, train))
@@ -681,45 +637,110 @@ def forward(params: ModelParams, enc_input: EncoderInput,
                          rng, train_mode)
 
 
-def greedy_decode(params: ModelParams, enc_input: EncoderInput,
-                  max_steps: int, prefixes: Optional[PrefixTable] = None) -> list[int]:
-    """Argmax decoding from BOS; stops at EOS or max_steps.
+def _stack(encs: Sequence[EncoderInput]) -> EncoderInput:
+    """Single-example inputs of one segment as one stack: rows [B, L, d],
+    mask [B, L]."""
+    return EncoderInput(rows=Tensor(np.stack([e.rows.data for e in encs])),
+                        n_text=encs[0].n_text, lengths=encs[0].lengths,
+                        mask=np.stack([e.mask for e in encs]))
+
+
+class DecodeBatch:
+    """A window of questions that ``greedy_decode`` decodes together.
+
+    It is built for one ``params`` (checked by identity; the weights must
+    not change while it lives), one ``max_steps`` and a list of
+    single-example encoder inputs, each checked here.  The first request
+    decodes them all and keeps each one's ids.  Its arrays are a few
+    [B, L, d] stacks per layer, so the caller bounds its size.
+    """
+
+    __slots__ = ("params", "encs", "max_steps", "ids")
+
+    def __init__(self, params: ModelParams, encs: Sequence[EncoderInput], max_steps: int):
+        if max_steps < 1:
+            raise ValueError("max_steps must be >= 1")
+        for enc in encs:
+            if len(enc.segments) != 1:
+                raise ValueError(f"greedy decoding takes one example per encoder "
+                                 f"input, got {len(enc.segments)}")
+            _check_encoder_length(params, enc)
+        self.params = params
+        self.encs = list(encs)
+        self.max_steps = max_steps
+        self.ids: Optional[list[list[int]]] = None
+
+
+def _decode_window(params: ModelParams, encs: Sequence[EncoderInput],
+                   max_steps: int) -> list[list[int]]:
+    """Greedy ids of each of ``encs``.  Inputs with equal segments form a
+    group, encoded once as a stack and decoded in lockstep; a slice that
+    emits EOS leaves the group's arrays."""
+    groups: dict[tuple, list[int]] = {}
+    for i, enc in enumerate(encs):
+        groups.setdefault(enc.segments, []).append(i)
+    out: list[list[int]] = [[] for _ in encs]
+    for members in groups.values():
+        stack = _stack([encs[i] for i in members])
+        cross = _cross(params, encode(params, stack, None, False), stack)
+        ids = np.full((len(members), 1), BOS_ID)
+        for _ in range(max_steps):
+            logits = _decode_stack(params, ids, (ids.shape[1],), cross, None, False)
+            nxt = logits.data[:, -1].argmax(axis=-1)
+            going = nxt != EOS_ID
+            if not going.all():
+                if not going.any():
+                    break
+                members = [i for i, g in zip(members, going) if g]
+                ids, nxt = ids[going], nxt[going]
+                cross = cross._replace(
+                    kv=[(Tensor(k.data[going]), Tensor(v.data[going])) for k, v in cross.kv],
+                    enc_masks=tuple(m if m is None else m[going] for m in cross.enc_masks))
+            for i, tok in zip(members, nxt.tolist()):
+                out[i].append(tok)
+            ids = np.concatenate((ids, nxt[:, None]), axis=1)
+            if ids.shape[1] >= params.config.max_len:
+                break
+    return out
+
+
+def greedy_decode(params: ModelParams, enc_input: EncoderInput, max_steps: int,
+                  batch: Optional[DecodeBatch] = None) -> list[int]:
+    """Argmax decoding from BOS; stops at EOS, at max_steps or at max_len.
 
     ``enc_input`` holds one example.  Returns the generated ids without
     BOS/EOS.  Ties resolve to the lowest token id.
 
-    Once per question: the additive mask over the encoder rows (shared by
-    the encoder and ``_cross``), the encoder pass, and in ``_cross`` each
-    decoder layer's weights and its cross-attention keys and values.  Per
-    step: ``_decode_stack`` over the whole prefix, which adds only the
-    prefix-length relative-position index and causal mask (both cached by
-    length).  Each step's logits equal, bit for bit, those of ``forward``
-    in eval mode: a single-row matmul is not bit-equal to the same row of a
-    multi-row one, so a step does not extend the previous step's rows.
+    The first request to ``batch`` decodes its whole window, and every
+    request returns its own question's ids.  With no batch the question
+    decodes as a window of one.  A batch built for other params or another
+    ``max_steps``, or one that does not hold ``enc_input`` (by identity),
+    raises ``DecodeBatchMismatchError`` before anything is decoded.
 
-    ``prefixes`` shares work across the questions of a split instead.
-    Decoder layer 0 reads the encoder only from its cross-attention on, so
-    its token embedding, self-attention block and cross query are a
-    function of the answer prefix alone: a prefix that an earlier question
-    reached takes them from the table, bit for bit, and a new one stores
-    them.  A table built for other params raises
-    ``PrefixTableMismatchError``.
+    Within a window, questions with equal encoder segments (text rows,
+    total rows) run as one stack: encoder rows [B, L, d], decoder prefixes
+    [B, t].  Per group: the encoder pass, and in ``_cross`` each decoder
+    layer's weights and cross-attention keys and values.  Per step:
+    ``_decode_stack`` over the whole prefixes, which adds only the
+    prefix-length relative-position index and causal mask (both cached by
+    length).  Every slice of a stacked op runs the 2-D call of its question
+    alone, so each step's logits equal, bit for bit, those of ``forward``
+    in eval mode.  For the same reason a step recomputes the whole prefix:
+    a single-row matmul is not bit-equal to the same row of a multi-row
+    one, and stacking questions of different shapes (padding) or
+    flattening a stack into rows would not be either.  Decoding runs with
+    no tape: under one the stacked ops raise ``ShapeMismatchError``.
     """
-    if max_steps < 1:
-        raise ValueError("max_steps must be >= 1")
-    if len(enc_input.segments) != 1:
-        raise ValueError(f"greedy_decode takes one example, got {len(enc_input.segments)}")
-    _check_encoder_length(params, enc_input)
-    cross = _cross(params, encode(params, enc_input, None, False), enc_input, prefixes)
-    ids = [BOS_ID]
-    out: list[int] = []
-    for _ in range(max_steps):
-        logits = _decode_stack(params, ids, (len(ids),), cross, None, False)
-        nxt = int(np.argmax(logits.data[-1]))
-        if nxt == EOS_ID:
-            break
-        out.append(nxt)
-        ids.append(nxt)
-        if len(ids) >= params.config.max_len:
-            break
-    return out
+    if batch is None:
+        batch = DecodeBatch(params, [enc_input], max_steps)
+    if batch.params is not params:
+        raise DecodeBatchMismatchError("the decode batch was built for other params")
+    if batch.max_steps != max_steps:
+        raise DecodeBatchMismatchError(f"the decode batch runs {batch.max_steps} steps, "
+                                       f"not {max_steps}")
+    pos = next((i for i, enc in enumerate(batch.encs) if enc is enc_input), None)
+    if pos is None:
+        raise DecodeBatchMismatchError("enc_input is not in the decode batch")
+    if batch.ids is None:
+        batch.ids = _decode_window(params, batch.encs, max_steps)
+    return list(batch.ids[pos])

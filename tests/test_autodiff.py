@@ -639,7 +639,8 @@ class TestTapeOff:
 
 
 class TestInputsUnchanged:
-    """Greedy decoding shares cached Tensors across questions, so no
+    """Callers reuse Tensors across calls (weights across examples, the
+    decoder's cross-attention keys and values across steps), so no
     primitive may write into its inputs' data, forward or backward."""
 
     @pytest.mark.parametrize("taped", [False, True])
@@ -661,3 +662,58 @@ class TestInputsUnchanged:
         assert inputs
         for tensor, before in inputs:
             assert tensor.data.tobytes() == before
+
+
+def stacked_calls(seed):
+    """(name, stacked call, per-slice call) for the primitives that take
+    leading batch axes, on random shapes; every third seed has t = 1."""
+    rng = np.random.default_rng(seed)
+    b, n = (int(x) for x in rng.integers(1, 7, size=2))
+    t = 1 if seed % 3 == 0 else int(rng.integers(2, 7))
+    e = int(rng.choice([16, 64, 340]))
+    x, w = rng.normal(size=(b, t, 16)), rng.normal(size=(16, e))
+    src, ids = rng.normal(size=(20, 16)), rng.integers(0, 20, size=(b, t))
+    q, k, v = rng.normal(size=(b, t, 16)), rng.normal(size=(b, n, 16)), rng.normal(size=(b, n, 16))
+    table = rng.normal(size=(4, 9))
+    pos = np.arange(t)
+    idx = np.clip(pos[None, :] - pos[:, None] + 4, -1, 8)  # -1: a zero bias column
+    causal = np.triu(np.full((t, t), -1e30), k=1)
+    key_rows = np.where(rng.random((b, n)) < 0.3, -1e30, 0.0)
+    key_rows[:, 0] = 0.0  # every query row keeps an attendable key
+    return [
+        ("matmul", lambda: matmul(Tensor(x), Tensor(w)),
+         lambda i: matmul(Tensor(x[i]), Tensor(w))),
+        ("gather_rows", lambda: gather_rows(Tensor(src), ids),
+         lambda i: gather_rows(Tensor(src), ids[i])),
+        ("self_attention", lambda: attention_core(
+            Tensor(q), Tensor(q), Tensor(q), 4, Tensor(table), idx, causal),
+         lambda i: attention_core(Tensor(q[i]), Tensor(q[i]), Tensor(q[i]), 4,
+                                  Tensor(table), idx, causal)),
+        ("cross_attention", lambda: attention_core(
+            Tensor(q), Tensor(k), Tensor(v), 4, None, None, key_rows[:, None, None]),
+         lambda i: attention_core(Tensor(q[i]), Tensor(k[i]), Tensor(v[i]), 4, None, None,
+                                  key_rows[i])),
+    ], b
+
+
+class TestStackedOperands:
+    """With no tape, an op over a stack of examples gives each slice the
+    bytes of the 2-D call on that example alone; under a tape it raises."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_each_slice_equals_its_2d_call(self, seed):
+        calls, b = stacked_calls(seed)
+        for name, stacked, alone in calls:
+            out = stacked().data
+            assert out.shape[0] == b, name
+            for i in range(b):
+                assert out[i].tobytes() == alone(i).data.tobytes(), (name, i)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_stacks_raise_under_a_tape(self, seed):
+        calls, _ = stacked_calls(seed)
+        for name, stacked, alone in calls:
+            with Tape():
+                with pytest.raises(ShapeMismatchError):
+                    stacked()
+                alone(0)  # the 2-D call runs under the tape

@@ -4,8 +4,8 @@ A rename under ``src/`` would make ``perfbench/run.py --trace 1`` fail (or
 trace nothing) without any package test noticing, so this loads the tracer
 module, without writing bytecode next to it, and checks that every name it
 wraps still exists, that its info hooks read attributes the package still has,
-and that a traced run trains exactly as an untraced one and leaves every
-name as it found it.
+and that a traced run trains and decodes exactly as an untraced one and
+leaves every name as it found it.
 """
 
 import importlib.util
@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from kgt5lab import trainer
+from kgt5lab import harness, trainer
 from kgt5lab.data import SyntheticKGSpec, gen_qa, gen_synthetic_kg
 from kgt5lab.embeddings import EmbeddingTable, init_embeddings
 from kgt5lab.model import (AugmentedInput, ModelConfig, ModelParams,
@@ -29,6 +29,11 @@ def load_tracer(monkeypatch):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def wrapped_names(tracer):
+    names = [(module, attr) for module, attr, _span, _info in tracer._WRAPS]
+    return names + [(tracer.trainer, "Tape"), (tracer.trainer, "adam_step")]
 
 
 def test_every_wrapped_name_exists(monkeypatch):
@@ -84,8 +89,7 @@ def tiny_training():
 
 def test_traced_training_is_bit_identical_and_restores(monkeypatch):
     tracer = load_tracer(monkeypatch)
-    names = [(module, attr) for module, attr, _span, _info in tracer._WRAPS]
-    names += [(tracer.trainer, "Tape"), (tracer.trainer, "adam_step")]
+    names = wrapped_names(tracer)
     originals = [getattr(module, attr) for module, attr in names]
     plain = tiny_training()
     t = tracer.Tracer()
@@ -97,4 +101,49 @@ def test_traced_training_is_bit_identical_and_restores(monkeypatch):
     assert traced == plain
     assert t.name.count("trainer.step") == 4
     assert t.name.count("trainer.pretrain") == t.name.count("trainer.finetune") == 1
+    assert [getattr(module, attr) for module, attr in names] == originals
+
+
+def tiny_eval():
+    """Greedy predictions of variant ``both`` on 20 questions (two decode
+    windows) with untrained weights, recorded per ``greedy_decode`` call."""
+    kg, corpus = gen_synthetic_kg(SyntheticKGSpec(n_people=12, n_cities=3, n_countries=2,
+                                                  occupations=("weaver",), seed=0))
+    dataset = gen_qa(kg, {"hop1": 10, "hop2": 10}, seed=0)
+    vocab = build_vocab(list(corpus) + [e.question for e in dataset]
+                        + [e.answer for e in dataset])
+    cfg = ModelConfig(vocab_size=len(vocab), d_model=16, n_layers=1, n_heads=2, d_ff=32,
+                      max_len=32, d_kg=4)
+    preds = []
+    decode = harness.greedy_decode
+
+    def recording(*args):
+        preds.append(decode(*args))
+        return preds[-1]
+
+    harness.greedy_decode = recording
+    try:
+        stats = harness.evaluate_split(ModelParams.init(cfg, seed=0), vocab, kg,
+                                       init_embeddings(kg, 4, 0), dataset, "both", 4)
+    finally:
+        harness.greedy_decode = decode
+    return stats, preds
+
+
+def test_traced_decoding_is_bit_identical_and_restores(monkeypatch):
+    # the model.encode hook reads the stacked encoder input of each group
+    tracer = load_tracer(monkeypatch)
+    names = wrapped_names(tracer)
+    originals = [getattr(module, attr) for module, attr in names]
+    plain = tiny_eval()
+    t = tracer.Tracer()
+    t.install()
+    try:
+        traced = tiny_eval()
+    finally:
+        t.restore()
+    assert traced == plain and len(plain[1]) == 20
+    assert t.name.count("model.greedy_decode") == 20
+    encodes = [i for i, name in enumerate(t.name) if name == "model.encode"]
+    assert 2 <= len(encodes) < 20 and all(isinstance(t.info[i], int) for i in encodes)
     assert [getattr(module, attr) for module, attr in names] == originals

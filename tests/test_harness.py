@@ -9,16 +9,17 @@ import pytest
 from kgt5lab import harness, model
 from kgt5lab.data import SyntheticKGSpec
 from kgt5lab.embeddings import TransEConfig, init_embeddings
-from kgt5lab.harness import (CSV_COLUMNS, ExperimentConfig, MetricsReport,
-                             build_vocabulary, build_world, emit_report,
-                             evaluate_split, exact_match,
+from kgt5lab.harness import (CSV_COLUMNS, DECODE_WINDOW, ExperimentConfig,
+                             MetricsReport, build_vocabulary, build_world,
+                             emit_report, evaluate_split, exact_match,
                              experiment_from_jsonable, experiment_to_jsonable,
                              make_manifest, parse_report_csv, render_markdown,
                              run_ablation, run_from_manifest, run_scale_sweep,
                              save_manifest)
 from kgt5lab.kg import InvalidFractionError
-from kgt5lab.model import VARIANTS, ModelConfig, ModelParams
-from kgt5lab.trainer import LossSpec, TrainConfig
+from kgt5lab.model import (VARIANTS, ModelConfig, ModelParams,
+                           build_augmented_input)
+from kgt5lab.trainer import LossSpec, TrainConfig, prepare_examples
 
 
 class TestExactMatch:
@@ -73,42 +74,52 @@ class TestEvalGolden:
         assert digests == GOLDEN_EVAL_DIGESTS
 
 
-class TestEvalPrefixTable:
-    def test_one_table_per_call_whose_arrays_keep_their_bytes(self, monkeypatch):
+class TestEvalWindows:
+    @pytest.mark.parametrize("variant", ["none", "both"])
+    def test_one_call_per_question_through_windows(self, monkeypatch, variant):
         exp = ExperimentConfig()
         kg, corpus, dataset = build_world(exp)
         vocab = build_vocabulary(corpus, dataset)
         cfg = replace(exp.model, vocab_size=len(vocab))
         params = ModelParams.init(cfg, 0)
         emb = init_embeddings(kg, cfg.d_kg, 0)
-        tables, saved, per_call = [], {}, []
-        decode, stack = harness.greedy_decode, model._decode_stack
+        examples = dataset[:-5]  # the last window is a partial one
+        calls = []
+        decode = harness.greedy_decode
 
-        def recording_decode(*args):
-            tables.append(args[3])
-            return decode(*args)
+        def recording(*args):
+            calls.append((args, decode(*args)))
+            return calls[-1][1]
 
-        def recording_stack(*args):
-            logits = stack(*args)  # the bytes of an entry right after it is stored
-            key = tuple(args[1])
-            saved.setdefault(key, [t.data.tobytes() for t in args[3].prefixes.entries[key]])
-            return logits
+        monkeypatch.setattr(harness, "greedy_decode", recording)
+        evaluate_split(params, vocab, kg, emb, examples, variant, decode_steps=4)
+        assert len(calls) == len(examples)
+        prepared = prepare_examples(examples, kg, vocab, variant)
+        starts = []
+        for q, ((p, enc, steps, batch), ids) in enumerate(calls):
+            assert p is params and steps == 4
+            if q == 0 or batch is not calls[q - 1][0][3]:
+                starts.append(q)
+            alone = build_augmented_input(prepared[q].aug, emb, params)
+            assert enc.rows.data.tobytes() == alone.rows.data.tobytes()  # dataset order
+            assert ids == model.greedy_decode(params, alone, 4)
+        assert starts == list(range(0, len(examples), DECODE_WINDOW))
+        for lo in starts:
+            batch = calls[lo][0][3]
+            window = [args[1] for args, _ in calls[lo:lo + DECODE_WINDOW]]
+            assert len(batch.encs) == len(window) <= DECODE_WINDOW
+            assert all(a is b for a, b in zip(batch.encs, window))
 
-        monkeypatch.setattr(harness, "greedy_decode", recording_decode)
-        monkeypatch.setattr(model, "_decode_stack", recording_stack)
-        for variant in ("none", "both"):
-            tables.clear()
-            saved.clear()
-            evaluate_split(params, vocab, kg, emb, dataset, variant, decode_steps=4)
-            table = tables[0]
-            per_call.append(table)
-            assert len(tables) == len(dataset)
-            assert all(t is table for t in tables) and table.params is params
-            assert 1 < len(table.entries) < len(dataset) * 4  # prefixes repeat
-            assert saved.keys() == table.entries.keys()
-            for key, arrays in table.entries.items():
-                assert [t.data.tobytes() for t in arrays] == saved[key], key
-        assert per_call[0] is not per_call[1]
+    def test_decode_steps_below_one_raise_before_preparing(self, monkeypatch):
+        def no_prepare(*args):
+            raise AssertionError("examples were prepared")
+
+        monkeypatch.setattr(harness, "prepare_examples", no_prepare)
+        cfg = ModelConfig(vocab_size=50)
+        for examples in ([], [None]):
+            with pytest.raises(ValueError, match="decode_steps"):
+                evaluate_split(ModelParams.init(cfg, 0), None, None, None, examples,
+                               "none", decode_steps=0)
 
 
 def tiny_experiment(max_steps=12, pre_steps=8):

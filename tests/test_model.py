@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 
 from kgt5lab import autodiff, model
-from kgt5lab.autodiff import (Tape, Tensor, concat_rows, cross_entropy_mean,
-                              grad_check)
+from kgt5lab.autodiff import (ShapeMismatchError, Tape, Tensor, concat_rows,
+                              cross_entropy_mean, grad_check)
 from kgt5lab.embeddings import EmbeddingTable, init_embeddings, seed_seq
-from kgt5lab.harness import ExperimentConfig, build_vocabulary, build_world
-from kgt5lab.model import (AugmentedInput, BOS_ID, EOS_ID, EmptyCorpusError,
+from kgt5lab.harness import (DECODE_WINDOW, ExperimentConfig, build_vocabulary,
+                             build_world)
+from kgt5lab.model import (AugmentedInput, BOS_ID, EOS_ID, DecodeBatch,
+                           DecodeBatchMismatchError, EmptyCorpusError,
                            EncoderInput, FIRST_REGULAR_ID, MissingBOSError,
-                           ModelConfig, ModelParams, N_SENTINELS, PrefixTable,
-                           PrefixTableMismatchError, SEP_ID,
+                           ModelConfig, ModelParams, N_SENTINELS, SEP_ID,
                            TooLongError, TooManySpansError, UNK_ID, Vocabulary,
                            build_augmented_input, build_vocab,
                            corrupt_with_spans, forward, greedy_decode,
@@ -502,7 +503,8 @@ class TestGreedyDecode:
 
         def recording(*args):
             logits = stack(*args)
-            rows.append(logits.data[-1].copy())
+            (row,) = logits.data[:, -1]  # a window of one stacks one question
+            rows.append(row.copy())
             return logits
 
         monkeypatch.setattr(model, "_decode_stack", recording)
@@ -587,68 +589,114 @@ def pinned_inputs(weight_seed, variant, indices):
     return params, [build_augmented_input(p.aug, emb, params) for p in prepared]
 
 
-class TestPrefixSharing:
-    def test_shared_decode_matches_one_forward_per_token(self, monkeypatch):
-        # weight seed 6, variant none: question 5 decodes what question 1
-        # does, 6 what 4 does, and 26 emits EOS after one token
-        params, encs = pinned_inputs(6, "none", [1, 5, 4, 6, 26])
-        table = PrefixTable(params)
-        rows = []
-        stack = model._decode_stack
+def decode_in_windows(monkeypatch, params, encs, max_steps):
+    """Decode ``encs`` in windows of ``DECODE_WINDOW``, as ``evaluate_split``
+    does.  Every question's ids and every step's logits must equal
+    ``reference_decode``'s byte for byte.  Returns the ids and the size of
+    each stacked group."""
+    refs = [reference_decode(params, enc, max_steps) for enc in encs]
+    calls = []
+    encode, stack = model.encode, model._decode_stack
 
-        def recording(*args):
-            logits = stack(*args)
-            rows.append(logits.data[-1].copy())
-            return logits
+    def recording_encode(*args):
+        calls.append(("encode", args[1]))
+        return encode(*args)
 
-        monkeypatch.setattr(model, "_decode_stack", recording)
-        outs, new_entries = [], []
-        for enc in encs:
-            ref_out, ref_rows = reference_decode(params, enc, 4)
-            rows.clear()
-            before = len(table.entries)
-            outs.append(greedy_decode(params, enc, 4, table))
-            new_entries.append(len(table.entries) - before)
-            assert outs[-1] == ref_out
-            assert len(rows) == len(ref_rows)
-            for step, (a, b) in enumerate(zip(rows, ref_rows)):
-                assert np.array_equal(a, b), step
-        assert outs[1] == outs[0] and new_entries[1] == 0  # every prefix cached
-        assert outs[3] == outs[2] and new_entries[3] == 0
-        assert len(outs[4]) < 4  # EOS won before the last step
+    def recording_stack(*args):
+        logits = stack(*args)
+        calls.append(("step", np.array(args[1]), logits.data.copy()))
+        return logits
 
-    def test_cached_prefix_makes_three_attention_calls_per_step(self, monkeypatch):
-        params, (enc,) = pinned_inputs(0, "both", [0])
-        table = PrefixTable(params)
-        calls = []
-        core = model.attention_core
+    monkeypatch.setattr(model, "encode", recording_encode)
+    monkeypatch.setattr(model, "_decode_stack", recording_stack)
+    outs = []
+    for lo in range(0, len(encs), DECODE_WINDOW):
+        batch = DecodeBatch(params, encs[lo:lo + DECODE_WINDOW], max_steps)
+        outs += [greedy_decode(params, enc, max_steps, batch) for enc in batch.encs]
+    assert outs == [ids for ids, _ in refs]
+    # replay: an encode call stacks the next questions of its group; each
+    # step's slices are the members that have not emitted EOS
+    pending, steps, sizes, members = list(range(len(encs))), [0] * len(encs), [], []
+    for call in calls:
+        if call[0] == "encode":
+            members = []
+            for rows, mask in zip(call[1].rows.data, call[1].mask):
+                i = next(i for i in pending if encs[i].rows.data.tobytes() == rows.tobytes()
+                         and encs[i].mask.tobytes() == mask.tobytes())
+                pending.remove(i)
+                members.append(i)
+            sizes.append(len(members))
+            continue
+        _, ids, logits = call
+        assert len(ids) == len(logits) == len(members)
+        t = ids.shape[1]
+        for b, i in enumerate(members):
+            ref_ids, ref_rows = refs[i]
+            assert ids[b].tolist() == [BOS_ID] + ref_ids[:t - 1], (i, t)
+            assert logits[b, -1].tobytes() == ref_rows[t - 1].tobytes(), (i, t)
+            steps[i] += 1
+        members = [i for b, i in enumerate(members) if np.argmax(logits[b, -1]) != EOS_ID]
+    assert pending == []
+    assert steps == [len(rows) for _, rows in refs]
+    return outs, sizes
 
-        def counting(*args):
-            calls.append(args[0].shape[0])
-            return core(*args)
 
-        monkeypatch.setattr(model, "attention_core", counting)
-        first = greedy_decode(params, enc, 4, table)
-        assert len(first) == 4 and len(calls) == 2 + 4 * 4  # encoder, then misses
-        calls.clear()
-        assert greedy_decode(params, enc, 4, table) == first
-        assert len(calls) == 2 + 4 * 3  # layer 0's self-attention is shared
+class TestWindowDecode:
+    def test_mixed_shapes_masked_row_and_early_eos(self, monkeypatch):
+        cfg, params, emb = tiny_setup(seed=2)
+        augs = [AugmentedInput([40, 41, 42], [1, 2], [0], "both"),  # (3, 7), EOS after 6
+                AugmentedInput([40, 41], [], [], "none"),  # (2, 2)
+                AugmentedInput([43, 44, 45], [3, 4], [1], "both"),  # (3, 7)
+                AugmentedInput([49, 50], [7], [0], "both"),  # (2, 5), masked row added below
+                AugmentedInput([51, 52], [8, 9], [1], "both"),  # (2, 6)
+                AugmentedInput([46, 47, 48], [5, 6], [2], "both"),  # (3, 7)
+                AugmentedInput([53, 54], [], [], "none")]  # (2, 2)
+        encs = [build_augmented_input(a, emb, params) for a in augs]
+        junk = Tensor(np.full((1, cfg.d_model), 7.0))
+        enc = encs[3]
+        encs[3] = EncoderInput(rows=concat_rows([enc.rows, junk]), n_text=enc.n_text,
+                               lengths=(enc.lengths[0] + 1,), mask=np.append(enc.mask, 0.0))
+        outs, sizes = decode_in_windows(monkeypatch, params, encs, 8)
+        assert sizes == [3, 2, 2]  # (3, 7), (2, 2), then the masked row with (2, 6)
+        assert len(outs[0]) == 6 and all(len(o) == 8 for o in outs[1:])
 
-    def test_table_for_other_params_raises(self):
-        params, (enc,) = pinned_inputs(0, "none", [0])
+    def test_stops_at_max_len(self, monkeypatch):
+        cfg, params, emb = tiny_setup()
+        encs = [build_augmented_input(AugmentedInput(q, [1, 2], [0], "both"), emb, params)
+                for q in ([40, 41, 42], [43, 44, 45], [46, 47, 48])]
+        outs, sizes = decode_in_windows(monkeypatch, params, encs, cfg.max_len + 8)
+        assert sizes == [3]
+        assert [len(o) for o in outs] == [cfg.max_len - 1] * 3
+
+    @pytest.mark.parametrize("n", [DECODE_WINDOW - 1, DECODE_WINDOW, DECODE_WINDOW + 1])
+    def test_split_sizes(self, monkeypatch, n):
+        # weight seed 6, variant none: question 26 emits EOS after one token
+        params, encs = pinned_inputs(6, "none", range(20, 20 + n))
+        outs, sizes = decode_in_windows(monkeypatch, params, encs, 4)
+        assert sum(sizes) == n and max(sizes) > 1
+        assert min(len(o) for o in outs) < 4
+
+    def test_batch_mismatch_raises_before_decoding(self, monkeypatch):
+        params, encs = pinned_inputs(0, "none", [0, 1])
+        copy = EncoderInput(encs[0].rows, encs[0].n_text, encs[0].lengths, encs[0].mask)
+
+        def no_encode(*args):
+            raise AssertionError("a mismatched request decoded")
+
+        monkeypatch.setattr(model, "encode", no_encode)
         for other in (params.copy(), ModelParams.init(params.config, 0)):
-            with pytest.raises(PrefixTableMismatchError):
-                greedy_decode(params, enc, 4, PrefixTable(other))
-        assert greedy_decode(params, enc, 4, PrefixTable(params)) == \
-            greedy_decode(params, enc, 4)
+            with pytest.raises(DecodeBatchMismatchError, match="other params"):
+                greedy_decode(params, encs[0], 4, DecodeBatch(other, encs, 4))
+        with pytest.raises(DecodeBatchMismatchError, match="3 steps"):
+            greedy_decode(params, encs[0], 4, DecodeBatch(params, encs, 3))
+        with pytest.raises(DecodeBatchMismatchError, match="not in"):
+            greedy_decode(params, copy, 4, DecodeBatch(params, encs, 4))
 
-    def test_not_read_or_written_while_a_tape_records(self):
+    def test_decoding_under_a_tape_raises(self):
         params, (enc,) = pinned_inputs(0, "none", [0])
-        expected = greedy_decode(params, enc, 4)
-        table = PrefixTable(params)
         with Tape():
-            assert greedy_decode(params, enc, 4, table) == expected
-        assert table.entries == {}
+            with pytest.raises(ShapeMismatchError):
+                greedy_decode(params, enc, 4)
 
 
 class TestFullModelGradCheck:
