@@ -22,19 +22,19 @@ the stack into more rows would not (a [1, d] product takes another BLAS
 routine than a [B, d] one).  Under a tape a leading axis raises
 ``ShapeMismatchError``: training runs only 2-D operands.
 
-A packed batch (several examples' rows back to back in one tensor) draws
-its dropout masks through ``Streams``: each example draws every uniform of
-its step from its own Generator with one call, and each dropout site slices
-its blocks from those draws, so each example sees the masks it would draw
-alone.  In train mode ``attention_core`` exponentiates only the attendable
-scores: a masked score's ``exp`` is +0.0, which the output buffer already
-holds, so the probabilities keep their bytes.
+Training draws its dropout from one ``np.random.Generator`` per step: each
+dropout site, in the order the forward pass reaches it, draws a mask at the
+full shape of its operand.  A packed batch (several examples' rows back to
+back in one tensor) therefore draws masks across example boundaries too;
+in attention those entries multiply probabilities that are exactly +0.0
+(see ``attention_core``).  In train mode ``attention_core`` exponentiates
+only the attendable scores: a masked score's ``exp`` is +0.0, which the
+output buffer already holds, so the probabilities keep their bytes.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import accumulate
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -84,70 +84,10 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
-class DropoutPlanError(ValueError):
-    """A dropout site asked an example for more draws than its step planned."""
-
-
-class Streams:
-    """Every dropout mask of one packed step, drawn up front.
-
-    Example ``i`` draws all ``counts[i]`` uniforms of its step from
-    ``gens[i]`` with one ``random`` call, and all examples' draws are
-    thresholded and scaled (0 or 1/keep) in one operation.  Each
-    ``keep_mask`` call then takes every example's next block, with the
-    shape that example draws alone: rows ``rows[i]:rows[i+1]``, and for
-    [H, Lq, Lk] attention probabilities key columns ``cols[i]:cols[i+1]``
-    too; entries outside every block are 0.  PCG64's ``random(a + b)``
-    equals ``random(a)`` followed by ``random(b)``, so each block equals
-    the per-site draw bit for bit.  ``over`` gives the rows and columns
-    of one kind of site; every view shares the examples' positions, and a
-    block past an example's count raises ``DropoutPlanError``.
-    """
-
-    __slots__ = ("scales", "keep", "pos", "ends", "rows", "cols")
-
-    def __init__(self, gens: Sequence[np.random.Generator], counts: Sequence[int],
-                 keep: float):
-        ends = [0, *accumulate(counts)]
-        u = np.empty(ends[-1])
-        for gen, lo, hi in zip(gens, ends, ends[1:]):
-            gen.random(out=u[lo:hi])
-        self.scales = np.divide(u < keep, keep, out=u)
-        self.keep = keep
-        self.pos = ends[:-1]
-        self.ends = ends[1:]
-        self.rows = self.cols = None
-
-    def over(self, rows: Sequence[int], cols: Optional[Sequence[int]] = None) -> "Streams":
-        """A view over packed ``rows`` (and key ``cols``, default ``rows``)."""
-        view = Streams.__new__(Streams)
-        view.scales, view.keep, view.pos, view.ends = self.scales, self.keep, self.pos, self.ends
-        view.rows = rows
-        view.cols = rows if cols is None else cols
-        return view
-
-    def _take(self, i: int, shape: tuple[int, ...]) -> np.ndarray:
-        lo = self.pos[i]
-        hi = lo + math.prod(shape)
-        if hi > self.ends[i]:
-            raise DropoutPlanError(f"example {i}: a {shape} mask block passes its "
-                                   f"planned draws")
-        self.pos[i] = hi
-        return self.scales[lo:hi].reshape(shape)
-
-    def keep_mask(self, shape: tuple[int, ...], keep: float) -> np.ndarray:
-        """Inverted-dropout scale mask (0 or 1/keep) of one site."""
-        if keep != self.keep:
-            raise ValueError(f"keep {keep} differs from the drawn keep {self.keep}")
-        r, c = self.rows, self.cols
-        if len(shape) == 2:  # example blocks are consecutive row ranges
-            return np.concatenate([self._take(i, (r[i + 1] - r[i], shape[1]))
-                                   for i in range(len(self.pos))])
-        mask = np.zeros(shape)
-        for i in range(len(self.pos)):
-            mask[..., r[i]:r[i + 1], c[i]:c[i + 1]] = self._take(
-                i, (shape[0], r[i + 1] - r[i], c[i + 1] - c[i]))
-        return mask
+def _keep_mask(rng: np.random.Generator, shape: tuple[int, ...], keep: float) -> np.ndarray:
+    """Inverted-dropout scale mask (0 or 1/keep) of ``shape``, drawn from ``rng``."""
+    u = rng.random(shape)
+    return np.divide(u < keep, keep, out=u)
 
 
 class Node:
@@ -462,17 +402,18 @@ def gelu(x: Tensor) -> Tensor:
     return _record("gelu", out, (x,), bwd)
 
 
-def dropout(x: Tensor, p_drop: float, rng: Optional[Streams], train: bool) -> Tensor:
+def dropout(x: Tensor, p_drop: float, rng: Optional[np.random.Generator],
+            train: bool) -> Tensor:
     """Inverted dropout: train-mode output has the input as its expectation.
 
-    ``rng`` is ``Streams`` over the rows of a packed batch (unused, and may
-    be None, in eval mode or at rate 0).
+    The mask is drawn from ``rng`` at the full shape of ``x`` (unused, and
+    may be None, in eval mode or at rate 0).
     """
     if not (0.0 <= p_drop < 1.0):
         raise ValueError(f"p_drop must be in [0, 1), got {p_drop}")
     if not train or p_drop == 0.0:
         return x
-    mask = rng.keep_mask(x.data.shape, 1.0 - p_drop)
+    mask = _keep_mask(rng, x.data.shape, 1.0 - p_drop)
     out = Tensor(x.data * mask)
     if _ACTIVE is None:
         return out
@@ -622,7 +563,8 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
                    bias_idx: Optional[np.ndarray] = None,
                    mask: Optional[np.ndarray] = None,
                    p_drop: float = 0.0,
-                   rng: Optional[Streams] = None, train: bool = False) -> Tensor:
+                   rng: Optional[np.random.Generator] = None,
+                   train: bool = False) -> Tensor:
     """Fused multi-head scaled-dot-product attention over projected q/k/v.
 
     Heads are contiguous column blocks of the [L, d] inputs.  ``bias_table``
@@ -636,11 +578,14 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
     2-D mask apply to every slice, and a [B, 1, 1, Lk] mask gives each
     slice its own key row.  Each slice equals the call on its example alone,
     bit for bit: every matmul and last-axis reduction runs per slice.
-    Dropout applies to the attention probabilities; ``rng`` is ``Streams``
-    over the query rows and key columns of a packed batch.
+    Dropout applies to the attention probabilities, with one mask drawn
+    from ``rng`` at their full [H, Lq, Lk] shape.
     In train mode only scores where ``mask`` is 0 are exponentiated; the
     rest stay +0.0, which is what ``exp`` gives them, so every query row
-    needs an attendable key.  Decoding keeps the plain ``exp``: its masks
+    needs an attendable key.  That is also why a packed batch may draw
+    dropout for the entries between its examples: their probability is
+    exactly +0.0, so the mask scales a zero and the draw reaches no output
+    and no gradient.  Decoding keeps the plain ``exp``: its masks
     are a few rows, where the extra compare costs more than it saves.
     One tape node replaces the matmul/softmax composition for speed; the
     backward pass is the exact analytic gradient of that composition.
@@ -648,8 +593,8 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
     Nothing is cached inside: every call splits the heads, scores, adds the
     bias and mask, normalizes and merges the heads back with one reshape.
     What is fixed the caller builds once and passes in: greedy decoding
-    builds each stack's cross-attention keys, values and encoder mask
-    once for all its steps, and takes the bias index and causal mask from
+    builds each stack's cross-attention keys and values once for all its
+    steps, and takes the bias index and causal mask from
     per-length caches.  With no tape active the call returns before it
     builds the backward closure.
     """
@@ -683,7 +628,7 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
     else:
         probs = np.exp(scores, out=scores)
     probs /= probs.sum(axis=-1, keepdims=True)
-    dmask = rng.keep_mask(probs.shape, 1.0 - p_drop) if train and p_drop > 0.0 else None
+    dmask = _keep_mask(rng, probs.shape, 1.0 - p_drop) if train and p_drop > 0.0 else None
     out_h = (probs if dmask is None else probs * dmask) @ vh
     out = Tensor(out_h.swapaxes(-3, -2).reshape(*lead, lq, d))
     if _ACTIVE is None:
@@ -703,14 +648,9 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
             if bias_table.grad is None:
                 bias_table.grad = np.zeros_like(bias_table.data)
             valid = bias_idx >= 0
-            if valid.all():
-                for h in range(n_heads):
-                    np.add.at(bias_table.grad[h], bias_idx.reshape(-1),
-                              d_scores[h].reshape(-1))
-            else:
-                flat_idx = bias_idx[valid]
-                for h in range(n_heads):
-                    np.add.at(bias_table.grad[h], flat_idx, d_scores[h][valid])
+            flat_idx = bias_idx[valid]
+            for h in range(n_heads):
+                np.add.at(bias_table.grad[h], flat_idx, d_scores[h][valid])
         if q.requires_grad:
             dq_h = (d_scores @ kh) * scale
             _acc_new(q, dq_h.transpose(1, 0, 2).reshape(lq, d))

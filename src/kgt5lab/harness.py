@@ -7,7 +7,7 @@ pretrained weights and the train/test split, and the cells of one fraction
 share its subgraph and KG embeddings; cells differ only in which KG rows
 enter the encoder and in the similarity pathway.  The test set stays fixed,
 so fractions are compared on identical denominators.  Runs are reproducible
-bit-exactly from their manifest in sequential mode.
+bit-exactly from their manifest.
 """
 
 from __future__ import annotations
@@ -329,8 +329,8 @@ def make_manifest(experiment: str, exp: ExperimentConfig, seeds: Sequence[int],
 
 
 def run_from_manifest(manifest: dict) -> list[MetricsReport]:
-    """Re-run the experiment a manifest describes; sequential mode
-    reproduces every metrics row bit-exactly."""
+    """Re-run the experiment a manifest describes, reproducing every
+    metrics row bit-exactly."""
     exp = experiment_from_jsonable(manifest["config"])
     kg, corpus, dataset = build_world(exp)
     if manifest["experiment"] == "ablation":

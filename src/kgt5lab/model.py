@@ -23,14 +23,12 @@ from __future__ import annotations
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import accumulate
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .autodiff import (Streams, Tensor, add, attention_core, concat_rows,
-                       dropout, gather_rows, gelu, matmul, rms_norm)
+from .autodiff import (Tensor, add, attention_core, concat_rows, dropout,
+                       gather_rows, gelu, matmul, rms_norm)
 from .embeddings import EmbeddingTable, seed_seq
 
 PAD_ID = 0
@@ -90,9 +88,6 @@ class Vocabulary:
 
     def token_to_id(self, token: str) -> int:
         return self.index.get(token, UNK_ID)
-
-    def id_to_token(self, i: int) -> str:
-        return self.tokens[i]
 
     def encode(self, text: str) -> list[int]:
         return [self.index.get(t, UNK_ID) for t in tokenize(text)]
@@ -209,10 +204,6 @@ class ModelConfig:
             raise ValueError("d_model must be divisible by n_heads")
         if not (0.0 <= self.dropout_p < 1.0):
             raise ValueError("dropout_p must be in [0, 1)")
-
-    @property
-    def d_head(self) -> int:
-        return self.d_model // self.n_heads
 
 
 VARIANTS = ("none", "entity", "relation", "both")
@@ -333,28 +324,25 @@ class ModelParams:
 class EncoderInput:
     """Encoder inputs of a batch back to back: example i owns ``lengths[i]``
     consecutive rows of ``rows`` [sum(lengths), d_model], the first
-    ``n_text[i]`` of them text; ``mask`` (1 = attendable) covers every row.
-    A single question is a batch of one.  A stack of same-shape examples
-    (``_stack``) puts a leading axis on ``rows`` [B, L, d] and ``mask``
-    [B, L]: each slice is one example laid out as ``n_text`` and
-    ``lengths`` say."""
+    ``n_text[i]`` of them text; every row is attendable.  A single question
+    is a batch of one.  A stack of same-shape examples (``_stack``) puts a
+    leading axis on ``rows`` [B, L, d]: each slice is one example laid out
+    as ``n_text`` and ``lengths`` say."""
 
     rows: Tensor
     n_text: tuple[int, ...]
     lengths: tuple[int, ...]
-    mask: np.ndarray
 
     @property
     def segments(self) -> tuple[tuple[int, int], ...]:
         return tuple(zip(self.n_text, self.lengths))
 
-    @cached_property
-    def additive_masks(self) -> tuple[Optional[np.ndarray], ...]:
-        """Per example, its additive mask row over its own rows (None: all
-        attendable), built once for the encoder and the cross-attention."""
-        if np.all(self.mask > 0):
-            return (None,) * len(self.lengths)
-        return tuple(_mask_to_additive(m) for m in _example_masks(self.mask, self.lengths))
+    @property
+    def mask(self) -> np.ndarray:
+        """All ones over the rows (``rows`` without its last axis): no row is
+        padding.  Kept for the benchmark tracer, which keys encoder inputs
+        on it."""
+        return np.ones(self.rows.data.shape[:-1])
 
 
 def kg_row_tensors(emb) -> tuple[Tensor, Tensor]:
@@ -410,7 +398,7 @@ def build_augmented_input(a: AugmentedInput | Sequence[AugmentedInput], emb,
             t0, e0, r0 = t0 + n_tok, e0 + n_e, r0 + n_r
         rows = gather_rows(concat_rows([rows, kg]), order)
     return EncoderInput(rows=rows, n_text=tuple(len(aug.question_ids) for aug in augs),
-                        lengths=lengths, mask=np.ones(sum(lengths)))
+                        lengths=lengths)
 
 
 # ---------------------------------------------------------------------------
@@ -440,22 +428,11 @@ def _causal_mask(t: int) -> np.ndarray:
     return _MASK_CACHE[key]
 
 
-def _mask_to_additive(mask: np.ndarray) -> Optional[np.ndarray]:
-    """One additive row over the key columns (0 attendable, NEG_INF not),
-    which broadcasts over every query row; None when all are attendable.
-    A stack's [B, Lk] mask gives [B, 1, 1, Lk], one row per slice."""
-    if np.all(mask > 0):
-        return None
-    rows = np.where(mask > 0, 0.0, NEG_INF)
-    return rows if rows.ndim == 1 else rows[:, None, None]
-
-
 def _block_diag(blocks: Sequence[Optional[np.ndarray]],
                 shapes: Sequence[tuple[int, int]], fill) -> Optional[np.ndarray]:
-    """Block i (None: zeros; a row broadcasts over its rows) of shape
-    ``shapes[i]`` on the diagonal, ``fill`` elsewhere.  A lone block is
-    returned as it is, so a batch of one (every decode step) uses the cached
-    per-example arrays."""
+    """Block i (None: zeros) of shape ``shapes[i]`` on the diagonal,
+    ``fill`` elsewhere.  A lone block is returned as it is, so a batch of
+    one (every decode step) uses the cached per-example arrays."""
     if len(blocks) == 1:
         return blocks[0]
     out = np.full((sum(r for r, _ in shapes), sum(c for _, c in shapes)), fill)
@@ -464,34 +441,6 @@ def _block_diag(blocks: Sequence[Optional[np.ndarray]],
         out[r0:r0 + r, c0:c0 + c] = 0 if block is None else block
         r0, c0 = r0 + r, c0 + c
     return out
-
-
-def _offsets(lengths: Sequence[int]) -> list[int]:
-    return [0, *accumulate(lengths)]
-
-
-def _streams(rng: Optional[Streams], rows: Sequence[int],
-             cols: Optional[Sequence[int]] = None) -> Optional[Streams]:
-    """The step's dropout draws over packed rows (and attention key
-    columns); None stays None."""
-    if rng is None:
-        return None
-    return rng.over(_offsets(rows), None if cols is None else _offsets(cols))
-
-
-def _dropout_count(cfg: ModelConfig, n: int, t: int) -> int:
-    """Dropout uniforms one example draws in a training forward with ``n``
-    encoder and ``t`` decoder rows: per stack its input, per layer each
-    attention's [H, Lq, Lk] probabilities and each residual branch."""
-    d, h = cfg.d_model, cfg.n_heads
-    enc = n * d + cfg.n_layers * (h * n * n + 2 * n * d)
-    dec = t * d + cfg.n_layers * (h * t * t + h * t * n + 3 * t * d)
-    return enc + dec
-
-
-def _example_masks(mask: np.ndarray, lengths: Sequence[int]) -> list[np.ndarray]:
-    offsets = _offsets(lengths)
-    return [mask[..., lo:hi] for lo, hi in zip(offsets, offsets[1:])]
 
 
 def _layer(params: ModelParams, prefix: str, blocks: Sequence[str]):
@@ -517,17 +466,15 @@ def _ffn(w: tuple[Tensor, Tensor], x: Tensor) -> Tensor:
     return matmul(gelu(matmul(x, w[0])), w[1])
 
 
-def encode(params: ModelParams, enc_input: EncoderInput, rng: Optional[Streams],
-           train: bool) -> Tensor:
-    """Encoder output rows; ``rng`` is None or the step's dropout draws."""
+def encode(params: ModelParams, enc_input: EncoderInput,
+           rng: Optional[np.random.Generator], train: bool) -> Tensor:
+    """Encoder output rows; ``rng`` is None or the step's dropout Generator."""
     cfg = params.config
     segments = enc_input.segments
-    lengths = [n for _, n in segments]
-    shapes = [(n, n) for n in lengths]
+    shapes = [(n, n) for _, n in segments]
     bias_idx = _block_diag([_bias_idx(t, n, cfg.max_len) for t, n in segments],
                            shapes, -1)
-    mask = _block_diag(enc_input.additive_masks, shapes, NEG_INF)
-    rng = _streams(rng, lengths)
+    mask = _block_diag([None] * len(shapes), shapes, NEG_INF)
     x = dropout(enc_input.rows, cfg.dropout_p, rng, train)
     for i in range(cfg.n_layers):
         (ln1, ln2), (attn,), ffn = _layer(params, f"enc{i}", ("attn",))
@@ -542,13 +489,11 @@ def encode(params: ModelParams, enc_input: EncoderInput, rng: Optional[Streams],
 class _Cross(NamedTuple):
     """What every decoder step over one encoded batch reuses: each decoder
     layer's weights (``_layer``) and cross-attention (keys, values) of the
-    encoder output, and per example its encoder row count and additive mask
-    row (None: all attendable)."""
+    encoder output, and per example its encoder row count."""
 
     layers: list
     kv: list[tuple[Tensor, Tensor]]
     enc_lengths: tuple[int, ...]
-    enc_masks: tuple[Optional[np.ndarray], ...]
 
 
 def _cross(params: ModelParams, enc_out: Tensor, enc_input: EncoderInput) -> _Cross:
@@ -557,39 +502,37 @@ def _cross(params: ModelParams, enc_out: Tensor, enc_input: EncoderInput) -> _Cr
               for i in range(params.config.n_layers)]
     kv = [(matmul(enc_out, cross_w[1]), matmul(enc_out, cross_w[2]))
           for _, (_, cross_w), _ in layers]
-    return _Cross(layers, kv, enc_input.lengths, enc_input.additive_masks)
+    return _Cross(layers, kv, enc_input.lengths)
 
 
 def _decode_stack(params: ModelParams, decoder_ids, dec_lengths: Sequence[int],
-                  cross: _Cross, rng: Optional[Streams], train: bool) -> Tensor:
+                  cross: _Cross, rng: Optional[np.random.Generator],
+                  train: bool) -> Tensor:
     """Logits [len(decoder_ids), vocab] of the decoder stack over whole
     prefixes, attending to the encoder through ``cross``.
 
     ``decoder_ids`` holds each example's prefix (``dec_lengths``) back to
     back, in the order of the encoded examples; ``rng`` is None or the
-    step's dropout draws.  Over a stack (``_stack``), ``decoder_ids`` is
+    step's dropout Generator.  Over a stack (``_stack``), ``decoder_ids`` is
     instead a [B, t] array of its slices' prefixes, ``dec_lengths`` is
     ``(t,)`` and the logits are [B, t, vocab].  Only what depends on the
     prefixes is built here: the relative-position index, the causal mask
-    and, for a batch of several, the block-diagonal arrangement of the
-    cross masks.
+    and, for a batch of several, the block-diagonal cross mask.
     """
     cfg = params.config
     self_shapes = [(t, t) for t in dec_lengths]
-    cross_mask = _block_diag(cross.enc_masks, list(zip(dec_lengths, cross.enc_lengths)),
-                             NEG_INF)
+    cross_mask = _block_diag([None] * len(dec_lengths),
+                             list(zip(dec_lengths, cross.enc_lengths)), NEG_INF)
     dec_bias_idx = _block_diag([_bias_idx(t, t, cfg.max_len) for t in dec_lengths],
                                self_shapes, -1)
     causal = _block_diag([_causal_mask(t) for t in dec_lengths], self_shapes, NEG_INF)
-    cross_rng = _streams(rng, dec_lengths, cross.enc_lengths)
-    rng = _streams(rng, dec_lengths)
     y = dropout(gather_rows(params["tok_emb"], decoder_ids), cfg.dropout_p, rng, train)
     for ((ln1, ln2, ln3), (self_w, cross_w), ffn), (k, v) in zip(cross.layers, cross.kv):
         a = _attention(cfg, self_w, rms_norm(y, ln1), params["dec_rel_bias"],
                        dec_bias_idx, causal, rng, train)
         y = add(y, dropout(a, cfg.dropout_p, rng, train))
         c = attention_core(matmul(rms_norm(y, ln2), cross_w[0]), k, v, cfg.n_heads,
-                           None, None, cross_mask, cfg.dropout_p, cross_rng, train)
+                           None, None, cross_mask, cfg.dropout_p, rng, train)
         y = add(y, dropout(matmul(c, cross_w[3]), cfg.dropout_p, rng, train))
         f = _ffn(ffn, rms_norm(y, ln3))
         y = add(y, dropout(f, cfg.dropout_p, rng, train))
@@ -607,18 +550,17 @@ def forward(params: ModelParams, enc_input: EncoderInput,
             decoder_ids, train_mode: bool, seed) -> Tensor:
     """Teacher-forced logits of a batch, the examples' rows back to back.
 
-    ``decoder_ids`` holds one id list and ``seed`` one dropout seed per
-    example of ``enc_input``; a batch of one may pass its flat id list and
-    an int seed.  In train mode each example draws all dropout uniforms of
-    the step from its own seed with one call (``_dropout_count`` of them),
-    and every dropout site takes its blocks from those draws in the order
-    the example would draw them alone, so packing changes only how sums
-    round.
+    ``decoder_ids`` holds one id list per example of ``enc_input``; a batch
+    of one may pass its flat id list.  ``seed`` (an int, or a sequence of
+    ints) seeds the call's one dropout Generator, which in train mode
+    every dropout site draws from in turn, each at the full packed shape of
+    its operand.  Eval mode and rate 0 build no Generator.
     """
     cfg = params.config
-    id_lists, seeds = ([decoder_ids], [seed]) if np.isscalar(seed) else (decoder_ids, seed)
-    if not len(id_lists) == len(seeds) == len(enc_input.segments):
-        raise ValueError("need one decoder id list and one seed per example")
+    flat = len(decoder_ids) == 0 or np.isscalar(decoder_ids[0])
+    id_lists = [decoder_ids] if flat else decoder_ids
+    if len(id_lists) != len(enc_input.segments):
+        raise ValueError("need one decoder id list per example")
     for ids in id_lists:
         if not ids or ids[0] != BOS_ID:
             raise MissingBOSError("decoder_ids must start with BOS")
@@ -627,10 +569,7 @@ def forward(params: ModelParams, enc_input: EncoderInput,
     _check_encoder_length(params, enc_input)
     rng = None
     if train_mode and cfg.dropout_p > 0.0:
-        rng = Streams([np.random.default_rng(seed_seq(s, "dropout")) for s in seeds],
-                      [_dropout_count(cfg, n, len(ids))
-                       for (_, n), ids in zip(enc_input.segments, id_lists)],
-                      1.0 - cfg.dropout_p)
+        rng = np.random.default_rng(seed_seq(*np.ravel(seed).tolist(), "dropout"))
     enc_out = encode(params, enc_input, rng, train_mode)
     return _decode_stack(params, [i for ids in id_lists for i in ids],
                          [len(ids) for ids in id_lists], _cross(params, enc_out, enc_input),
@@ -638,11 +577,9 @@ def forward(params: ModelParams, enc_input: EncoderInput,
 
 
 def _stack(encs: Sequence[EncoderInput]) -> EncoderInput:
-    """Single-example inputs of one segment as one stack: rows [B, L, d],
-    mask [B, L]."""
+    """Single-example inputs of one segment as one stack: rows [B, L, d]."""
     return EncoderInput(rows=Tensor(np.stack([e.rows.data for e in encs])),
-                        n_text=encs[0].n_text, lengths=encs[0].lengths,
-                        mask=np.stack([e.mask for e in encs]))
+                        n_text=encs[0].n_text, lengths=encs[0].lengths)
 
 
 class DecodeBatch:
@@ -694,8 +631,7 @@ def _decode_window(params: ModelParams, encs: Sequence[EncoderInput],
                 members = [i for i, g in zip(members, going) if g]
                 ids, nxt = ids[going], nxt[going]
                 cross = cross._replace(
-                    kv=[(Tensor(k.data[going]), Tensor(v.data[going])) for k, v in cross.kv],
-                    enc_masks=tuple(m if m is None else m[going] for m in cross.enc_masks))
+                    kv=[(Tensor(k.data[going]), Tensor(v.data[going])) for k, v in cross.kv])
             for i, tok in zip(members, nxt.tolist()):
                 out[i].append(tok)
             ids = np.concatenate((ids, nxt[:, None]), axis=1)

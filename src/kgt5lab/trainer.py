@@ -271,10 +271,9 @@ def _batch_targets(targets: Sequence[Sequence[int]]) -> tuple[list[int], np.ndar
 
 def _batch_cross_entropy(params: ModelParams, enc, decoder_ins: list[list[int]],
                          targets: list[list[int]], seed: int, step: int) -> Tensor:
-    """Teacher-forced cross entropy of a packed batch; slot ``i`` draws its
-    dropout from ``_mix(seed, "fwd", step, i)``."""
-    seeds = [_mix(seed, "fwd", step, slot) for slot in range(len(targets))]
-    logits = forward(params, enc, decoder_ins, train_mode=True, seed=seeds)
+    """Teacher-forced cross entropy of a packed batch; the step draws its
+    dropout from ``_mix(seed, "fwd", step)``."""
+    logits = forward(params, enc, decoder_ins, train_mode=True, seed=_mix(seed, "fwd", step))
     flat, weights = _batch_targets(targets)
     return cross_entropy_mean(logits, flat, ignore_id=PAD_ID, weights=weights)
 

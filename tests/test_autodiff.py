@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from kgt5lab import autodiff
-from kgt5lab.autodiff import (DetachedRootError, DropoutPlanError, NotScalarRootError,
-                              ShapeMismatchError, Streams, Tape,
+from kgt5lab.autodiff import (DetachedRootError, NotScalarRootError,
+                              ShapeMismatchError, Tape,
                               TargetOutOfRangeError, Tensor, add,
                               attention_core, backward,
                               concat_rows, cosine_similarity,
@@ -241,7 +241,7 @@ class TestDropout:
         rng = np.random.default_rng(11)
         n, width = 100_000, 8
         x = Tensor(np.full((n, width), 2.0))
-        out = dropout(x, 0.3, Streams([rng], [n * width], 1.0 - 0.3).over([0, n]), train=True).data
+        out = dropout(x, 0.3, rng, train=True).data
         mean = out.mean(axis=0)
         assert np.all(np.abs(mean - 2.0) / 2.0 < 0.01)
 
@@ -249,41 +249,59 @@ class TestDropout:
         x = Tensor([3.0])
         assert dropout(x, 0.0, np.random.default_rng(0), train=True) is x
 
-    def test_streams_draw_each_segment_as_alone(self):
+    def test_mask_is_one_draw_at_the_operand_shape(self):
         x = np.arange(1.0, 19.0).reshape(6, 3)
-        alone = [x[lo:hi] * ((np.random.default_rng(s).random((hi - lo, 3)) < 0.6) / 0.6)
-                 for s, (lo, hi) in enumerate([(0, 2), (2, 3), (3, 6)])]
-        gens = [np.random.default_rng(s) for s in range(3)]
-        streams = Streams(gens, [6, 3, 9], 1.0 - 0.4).over([0, 2, 3, 6])
-        packed = dropout(Tensor(x), 0.4, streams, True).data
-        assert np.array_equal(packed, np.concatenate(alone))
+        want = x * ((np.random.default_rng(0).random((6, 3)) < 0.6) / 0.6)
+        out = dropout(Tensor(x), 0.4, np.random.default_rng(0), True).data
+        assert out.tobytes() == want.tobytes()
 
-    def test_streams_attention_blocks(self):
-        # per-head [H, Lq, Lk] masks: each segment's block as drawn alone,
-        # zero between segments
-        gens = [np.random.default_rng(s) for s in (7, 8)]
-        mask = Streams(gens, [12, 6], 0.5).over([0, 2, 5], [0, 3, 4]).keep_mask((2, 5, 4), 0.5)
-        a = (np.random.default_rng(7).random((2, 2, 3)) < 0.5) / 0.5
-        b = (np.random.default_rng(8).random((2, 3, 1)) < 0.5) / 0.5
-        assert np.array_equal(mask[:, :2, :3], a)
-        assert np.array_equal(mask[:, 2:, 3:], b)
-        assert not mask[:, :2, 3:].any() and not mask[:, 2:, :3].any()
-
-    def test_streams_views_share_positions_in_draw_order(self):
-        # a [3, 2] row block, then a [1, 3, 3] attention block, then past the plan
-        streams = Streams([np.random.default_rng(5)], [6 + 9], 0.5)
-        rows = streams.over([0, 3]).keep_mask((3, 2), 0.5)
-        probs = streams.over([0, 3], [0, 3]).keep_mask((1, 3, 3), 0.5)
+    def test_sites_draw_in_call_order(self):
+        # a [3, 2] row site, then [1, 3, 3] attention probabilities, from one Generator
+        rng = np.random.default_rng(5)
+        rows = dropout(Tensor(np.ones((3, 2))), 0.5, rng, True).data
+        q = Tensor(np.ones((3, 4)))
+        probs_kept = attention_core(q, q, Tensor(np.eye(3, 4)), 1, p_drop=0.5, rng=rng,
+                                    train=True).data[:, :3]
         u = np.random.default_rng(5).random(15)
         assert rows.tobytes() == ((u[:6] < 0.5) / 0.5).reshape(3, 2).tobytes()
-        assert probs.tobytes() == ((u[6:] < 0.5) / 0.5).reshape(1, 3, 3).tobytes()
-        with pytest.raises(DropoutPlanError):
-            streams.over([0, 1]).keep_mask((1, 1), 0.5)
+        # equal scores: every probability is 1/3, and row i of the output holds
+        # row i of the kept probabilities (v is the identity)
+        assert np.array_equal(probs_kept, ((u[6:] < 0.5) / 0.5).reshape(3, 3) / 3)
 
-    def test_streams_reject_another_rate(self):
-        streams = Streams([np.random.default_rng(0)], [4], 0.5)
-        with pytest.raises(ValueError):
-            dropout(Tensor(np.ones((2, 2))), 0.4, streams.over([0, 2]), True)
+    def test_rejects_rate_outside_unit_interval(self):
+        for p in (-0.1, 1.0):
+            with pytest.raises(ValueError):
+                dropout(Tensor(np.ones((2, 2))), p, np.random.default_rng(0), True)
+
+    def test_draws_between_packed_examples_reach_nothing(self):
+        # two examples of 2 and 3 rows under a block-diagonal causal mask:
+        # keeping or dropping every off-block entry leaves output and
+        # gradients byte-identical, since those probabilities are +0.0
+        rows = [0, 2, 5]
+        mask = np.full((5, 5), -1e30)
+        for lo, hi in zip(rows, rows[1:]):
+            mask[lo:hi, lo:hi] = np.triu(np.full((hi - lo, hi - lo), -1e30), k=1)
+        u = np.random.default_rng(3).random((2, 5, 5))
+
+        class Draws:
+            def __init__(self, off_block):
+                self.u = np.where(mask == 0, u, off_block)
+
+            def random(self, shape):
+                assert shape == self.u.shape
+                return self.u.copy()
+
+        g = np.random.default_rng(4).normal(size=(5, 8))
+        results = []
+        for off_block in (0.0, 0.99):  # keep, drop
+            q, k, v = (Tensor(a, requires_grad=True)
+                       for a in np.random.default_rng(5).normal(size=(3, 5, 8)))
+            with Tape() as tape:
+                out = attention_core(q, k, v, 2, None, None, mask, 0.5, Draws(off_block), True)
+                root = reduce_sum(mul(out, Tensor(g)))
+            backward(tape, root)
+            results.append([out.data.tobytes()] + [t.grad.tobytes() for t in (q, k, v)])
+        assert results[0] == results[1]
 
 
 class TestRmsNorm:
@@ -433,8 +451,7 @@ class TestGradChecksAllPrimitives:
         # a fixed seed gives the same mask on every call, so the op is
         # differentiable; dropout stays off in every other gradient check
         def f(x):
-            streams = Streams([np.random.default_rng(5)], [16], 1.0 - 0.4)
-            return reduce_mean(dropout(x, 0.4, streams.over([0, 4]), train=True))
+            return reduce_mean(dropout(x, 0.4, np.random.default_rng(5), train=True))
         self.check(f, seeded_points((4, 4)))
 
     def test_attention_core(self):
@@ -496,7 +513,7 @@ def reference_attention_core(q, k, v, n_heads, table, idx, mask, p_drop, rng,
     scores -= np.max(scores, axis=-1, keepdims=True)
     probs = np.exp(scores, out=scores)
     probs /= np.sum(probs, axis=-1, keepdims=True)
-    dmask = rng.keep_mask(probs.shape, 1.0 - p_drop) if train else None
+    dmask = (rng.random(probs.shape) < 1.0 - p_drop) / (1.0 - p_drop) if train else None
     probs_kept = probs if dmask is None else probs * dmask
     out = np.ascontiguousarray((probs_kept @ vh).transpose(1, 0, 2)).reshape(lq, d)
 
@@ -518,28 +535,18 @@ class TestAttentionCoreParity:
     """attention_core equals the earlier implementation byte for byte, in
     its output and every gradient."""
 
-    def check(self, lq, lk, idx, mask, ref_mask=None, rows=None, cols=None):
+    def check(self, lq, lk, idx, mask, ref_mask=None, train=False):
         rng = np.random.default_rng(lq * 100 + lk)
         q, k, v = (rng.normal(size=(n, 8)) for n in (lq, lk, lk))
         table = rng.normal(size=(2, 9))
         g = rng.normal(size=(lq, 8))
-
-        def dropout_source():
-            if rows is None:
-                return None
-            blocks = [2 * (r1 - r0) * (c1 - c0)
-                      for r0, r1, c0, c1 in zip(rows, rows[1:], cols, cols[1:])]
-            return Streams([np.random.default_rng(s) for s in range(len(rows) - 1)],
-                           blocks, 1.0 - 0.3).over(rows, cols)
-
-        train = rows is not None
         ref_out, ref_grads = reference_attention_core(
             q, k, v, 2, table, idx, mask if ref_mask is None else ref_mask,
-            0.3, dropout_source(), train, g)
+            0.3, np.random.default_rng(7), train, g)
         leaves = [Tensor(a.copy(), requires_grad=True) for a in (q, k, v, table)]
         with Tape() as tape:
             out = attention_core(*leaves[:3], 2, leaves[3], idx, mask, 0.3,
-                                 dropout_source(), train)
+                                 np.random.default_rng(7), train)
             root = reduce_sum(mul(out, Tensor(g)))
         backward(tape, root)
         assert out.data.tobytes() == ref_out.tobytes()
@@ -567,7 +574,7 @@ class TestAttentionCoreParity:
             idx[lo:hi, c0:c1] = np.arange((hi - lo) * (c1 - c0)).reshape(hi - lo, -1) % 9
             mask[lo:hi, c0:c1] = 0.0
         idx[6, 7] = -1
-        self.check(7, 8, idx, mask, rows=rows, cols=cols)
+        self.check(7, 8, idx, mask, train=True)
 
     def test_packed_train_step_with_causal_blocks(self):
         # train mode exponentiates only attendable scores: off-block and
@@ -579,7 +586,7 @@ class TestAttentionCoreParity:
             pos = np.arange(hi - lo)
             idx[lo:hi, lo:hi] = pos[None, :] - pos[:, None] + 4
             mask[lo:hi, lo:hi] = np.triu(np.full((hi - lo, hi - lo), -1e30), k=1)
-        self.check(8, 8, idx, mask, rows=rows, cols=rows)
+        self.check(8, 8, idx, mask, train=True)
 
 
 def primitive_calls():
@@ -607,8 +614,7 @@ def primitive_calls():
         ("softmax_lastdim", lambda t=fresh: softmax_lastdim(t(a))),
         ("rms_norm", lambda t=fresh: rms_norm(t(a), t(vec))),
         ("gelu", lambda t=fresh: gelu(t(a))),
-        ("dropout", lambda t=fresh: dropout(
-            t(a), 0.4, Streams([np.random.default_rng(3)], [12], 1.0 - 0.4).over([0, 3]), True)),
+        ("dropout", lambda t=fresh: dropout(t(a), 0.4, np.random.default_rng(3), True)),
         ("cross_entropy_mean", lambda t=fresh: cross_entropy_mean(t(a), [1, -1, 3])),
         ("cosine_similarity", lambda t=fresh: cosine_similarity(t(vec), t(sq[0]))),
         ("row_cosine_similarity", lambda t=fresh: cosine_similarity(t(a), t(b))),
@@ -616,7 +622,7 @@ def primitive_calls():
         ("reduce_sum", lambda t=fresh: reduce_sum(t(a))),
         ("attention_core", lambda t=fresh: attention_core(
             t(a[:, :4]), t(b), t(b[::-1]), 2, t(table), idx, None, 0.3,
-            Streams([np.random.default_rng(4)], [2 * 3 * 3], 1.0 - 0.3).over([0, 3]), True)),
+            np.random.default_rng(4), True)),
     ]
 
 

@@ -5,10 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from kgt5lab import autodiff, model
-from kgt5lab.autodiff import (ShapeMismatchError, Tape, Tensor, concat_rows,
-                              cross_entropy_mean, grad_check)
-from kgt5lab.embeddings import EmbeddingTable, init_embeddings, seed_seq
+from kgt5lab import model
+from kgt5lab.autodiff import (ShapeMismatchError, Tape, Tensor, cross_entropy_mean,
+                              grad_check)
+from kgt5lab.embeddings import EmbeddingTable, init_embeddings
 from kgt5lab.harness import (DECODE_WINDOW, ExperimentConfig, build_vocabulary,
                              build_world)
 from kgt5lab.model import (AugmentedInput, BOS_ID, EOS_ID, DecodeBatch,
@@ -268,19 +268,6 @@ class TestForward:
         err = grad_check(f, params["enc0.attn.wq"])
         assert err < 1e-5
 
-    def test_masked_row_is_ignored(self):
-        # a junk row with mask 0 must not change any logit
-        cfg, params, emb = tiny_setup()
-        enc = build_augmented_input(AugmentedInput([40, 41, 42], [1], [0], "both"),
-                                    emb, params)
-        junk = Tensor(np.full((1, cfg.d_model), 7.0))
-        padded = EncoderInput(rows=concat_rows([enc.rows, junk]), n_text=enc.n_text,
-                              lengths=(enc.lengths[0] + 1,),
-                              mask=np.append(enc.mask, 0.0))
-        a = forward(params, enc, [BOS_ID, 43, 44], train_mode=False, seed=0).data
-        b = forward(params, padded, [BOS_ID, 43, 44], train_mode=False, seed=0).data
-        assert np.allclose(a, b, rtol=0.0, atol=1e-12)
-
     def test_augmentation_identity_full_model(self):
         # variant=none must be bit-identical to a build with no KG machinery
         cfg, params, emb = tiny_setup()
@@ -367,84 +354,55 @@ class TestPackedBatch:
             forward(params, enc, PACKED_DEC[:3] + [[48]], train_mode=False, seed=[0] * 4)
 
 
-class PerSiteStreams:
-    """The earlier dropout source of a packed batch: every keep_mask call
-    draws each segment's block from that segment's own Generator."""
-
-    def __init__(self, gens, rows, cols=None):
-        self.gens = gens
-        self.rows = rows
-        self.cols = rows if cols is None else cols
-
-    def keep_mask(self, shape, keep):
-        mask = np.zeros(shape)
-        r, c = self.rows, self.cols
-        for i, gen in enumerate(self.gens):
-            if len(shape) == 2:
-                block = mask[r[i]:r[i + 1]]
-            else:
-                block = mask[..., r[i]:r[i + 1], c[i]:c[i + 1]]
-            block[...] = (gen.random(block.shape) < keep) / keep
-        return mask
-
-
 class TestDropoutDraws:
-    """A training forward draws each example's dropout once, and every
-    mask equals the one drawn per site."""
+    """A training forward draws all its dropout from one Generator, each
+    site at the full packed shape of its operand."""
 
-    SEEDS = [21, 22, 23]
+    SEED = 21
 
     def batch(self):
         # encoder lengths 2, 7 and 5; decoder lengths 1, 4 and 2
         cfg, params, emb = tiny_setup()
         return cfg, params, build_augmented_input(PACKED_AUGS[1:], emb, params), PACKED_DEC[1:]
 
-    def test_every_mask_equals_the_per_site_draw(self, monkeypatch):
-        cfg, params, enc, dec = self.batch()
-        sites = []
-        keep_mask = autodiff.Streams.keep_mask
-
-        def recording(rng, shape, keep):
-            mask = keep_mask(rng, shape, keep)
-            sites.append((rng, shape, keep, mask))
-            return mask
-
-        monkeypatch.setattr(autodiff.Streams, "keep_mask", recording)
-        forward(params, enc, dec, train_mode=True, seed=self.SEEDS)
-        gens = [np.random.default_rng(seed_seq(s, "dropout")) for s in self.SEEDS]
-        enc_rows, dec_rows = (0, 2, 9, 14), (0, 1, 5, 7)
-        kinds = []
-        for rng, shape, keep, mask in sites:
-            ref = PerSiteStreams(gens, rng.rows, rng.cols).keep_mask(shape, keep)
-            assert mask.tobytes() == ref.tobytes()
-            kind = {(enc_rows, enc_rows): "enc", (dec_rows, dec_rows): "dec",
-                    (dec_rows, enc_rows): "cross"}[(tuple(rng.rows), tuple(rng.cols))]
-            kinds.append((kind, len(shape)))
-        n = cfg.n_layers
-        assert sorted(kinds) == sorted([("enc", 2)] * (1 + 2 * n) + [("enc", 3)] * n
-                                       + [("dec", 2)] * (1 + 3 * n) + [("dec", 3)] * n
-                                       + [("cross", 3)] * n)
-        assert sites[-1][0].pos == sites[-1][0].ends  # every planned draw used
-
-    def test_one_random_call_per_example_and_none_in_eval(self, monkeypatch):
-        cfg, params, enc, dec = self.batch()
-        calls = []
+    def counting(self, monkeypatch):
+        """Patch ``np.random.default_rng``; returns the list of Generators
+        built and the list of (generator index, shape) draws."""
+        built, draws = [], []
         default_rng = np.random.default_rng
 
         class CountingGenerator:
             def __init__(self, seed):
                 self.gen = default_rng(seed)
+                built.append(seed)
 
-            def random(self, *args, **kwargs):
-                calls.append(args or kwargs)
-                return self.gen.random(*args, **kwargs)
+            def random(self, shape):
+                draws.append((len(built) - 1, shape))
+                return self.gen.random(shape)
 
         monkeypatch.setattr(np.random, "default_rng", CountingGenerator)
-        forward(params, enc, dec, train_mode=True, seed=self.SEEDS)
-        assert len(calls) == len(self.SEEDS)
-        calls.clear()
-        forward(params, enc, dec, train_mode=False, seed=self.SEEDS)
-        assert calls == []
+        return built, draws
+
+    def test_one_generator_in_train_and_none_in_eval(self, monkeypatch):
+        cfg, params, enc, dec = self.batch()
+        built, draws = self.counting(monkeypatch)
+        forward(params, enc, dec, train_mode=True, seed=self.SEED)
+        assert len(built) == 1 and draws
+        built.clear()
+        forward(params, enc, dec, train_mode=False, seed=self.SEED)
+        assert built == []
+
+    def test_every_site_draws_its_full_shape_in_order(self, monkeypatch):
+        cfg, params, enc, dec = self.batch()
+        built, draws = self.counting(monkeypatch)
+        logits = forward(params, enc, dec, train_mode=True, seed=self.SEED).data
+        n, t, d, h = 14, 7, cfg.d_model, cfg.n_heads
+        want = ([(n, d)] + [(h, n, n), (n, d), (n, d)] * cfg.n_layers
+                + [(t, d)] + [(h, t, t), (t, d), (h, t, n), (t, d), (t, d)] * cfg.n_layers)
+        assert draws == [(0, shape) for shape in want]
+        monkeypatch.undo()
+        again = forward(params, enc, dec, train_mode=True, seed=self.SEED).data
+        assert again.tobytes() == logits.tobytes()
 
 
 def reference_decode(params, enc, max_steps):
@@ -522,16 +480,6 @@ class TestGreedyDecode:
                                     emb, params)
         assert len(self.check(monkeypatch, params, enc, 8)) == 8
 
-    def test_masked_encoder_row(self, monkeypatch):
-        cfg, params, emb = tiny_setup(seed=1)
-        enc = build_augmented_input(AugmentedInput([43, 44], [1], [0], "both"),
-                                    emb, params)
-        junk = Tensor(np.full((1, cfg.d_model), 7.0))
-        padded = EncoderInput(rows=concat_rows([enc.rows, junk]), n_text=enc.n_text,
-                              lengths=(enc.lengths[0] + 1,),
-                              mask=np.append(enc.mask, 0.0))
-        self.check(monkeypatch, params, padded, 6)
-
     def test_stops_at_eos(self, monkeypatch):
         cfg, params, emb = tiny_setup(seed=2)
         enc = build_augmented_input(AugmentedInput([40, 41, 42], [1, 2], [0], "both"),
@@ -542,8 +490,7 @@ class TestGreedyDecode:
     def test_too_long_encoder_input_raises_before_encoding(self, monkeypatch):
         cfg, params, emb = tiny_setup()
         enc = EncoderInput(rows=Tensor(np.zeros((cfg.max_len + 1, cfg.d_model))),
-                           n_text=(cfg.max_len + 1,), lengths=(cfg.max_len + 1,),
-                           mask=np.ones(cfg.max_len + 1))
+                           n_text=(cfg.max_len + 1,), lengths=(cfg.max_len + 1,))
 
         def no_encode(*args):
             raise AssertionError("encoder ran on an over-long input")
@@ -620,9 +567,8 @@ def decode_in_windows(monkeypatch, params, encs, max_steps):
     for call in calls:
         if call[0] == "encode":
             members = []
-            for rows, mask in zip(call[1].rows.data, call[1].mask):
-                i = next(i for i in pending if encs[i].rows.data.tobytes() == rows.tobytes()
-                         and encs[i].mask.tobytes() == mask.tobytes())
+            for rows in call[1].rows.data:
+                i = next(i for i in pending if encs[i].rows.data.tobytes() == rows.tobytes())
                 pending.remove(i)
                 members.append(i)
             sizes.append(len(members))
@@ -642,22 +588,18 @@ def decode_in_windows(monkeypatch, params, encs, max_steps):
 
 
 class TestWindowDecode:
-    def test_mixed_shapes_masked_row_and_early_eos(self, monkeypatch):
+    def test_mixed_shapes_and_early_eos(self, monkeypatch):
         cfg, params, emb = tiny_setup(seed=2)
         augs = [AugmentedInput([40, 41, 42], [1, 2], [0], "both"),  # (3, 7), EOS after 6
                 AugmentedInput([40, 41], [], [], "none"),  # (2, 2)
                 AugmentedInput([43, 44, 45], [3, 4], [1], "both"),  # (3, 7)
-                AugmentedInput([49, 50], [7], [0], "both"),  # (2, 5), masked row added below
+                AugmentedInput([49, 50], [7], [0], "both"),  # (2, 5)
                 AugmentedInput([51, 52], [8, 9], [1], "both"),  # (2, 6)
                 AugmentedInput([46, 47, 48], [5, 6], [2], "both"),  # (3, 7)
                 AugmentedInput([53, 54], [], [], "none")]  # (2, 2)
         encs = [build_augmented_input(a, emb, params) for a in augs]
-        junk = Tensor(np.full((1, cfg.d_model), 7.0))
-        enc = encs[3]
-        encs[3] = EncoderInput(rows=concat_rows([enc.rows, junk]), n_text=enc.n_text,
-                               lengths=(enc.lengths[0] + 1,), mask=np.append(enc.mask, 0.0))
         outs, sizes = decode_in_windows(monkeypatch, params, encs, 8)
-        assert sizes == [3, 2, 2]  # (3, 7), (2, 2), then the masked row with (2, 6)
+        assert sizes == [3, 2, 1, 1]  # (3, 7), (2, 2), (2, 5), (2, 6)
         assert len(outs[0]) == 6 and all(len(o) == 8 for o in outs[1:])
 
     def test_stops_at_max_len(self, monkeypatch):
@@ -678,7 +620,7 @@ class TestWindowDecode:
 
     def test_batch_mismatch_raises_before_decoding(self, monkeypatch):
         params, encs = pinned_inputs(0, "none", [0, 1])
-        copy = EncoderInput(encs[0].rows, encs[0].n_text, encs[0].lengths, encs[0].mask)
+        copy = EncoderInput(encs[0].rows, encs[0].n_text, encs[0].lengths)
 
         def no_encode(*args):
             raise AssertionError("a mismatched request decoded")

@@ -4,7 +4,8 @@ import ast
 from collections import Counter
 from pathlib import Path
 
-PACKAGE_DIR = Path(__file__).resolve().parents[1] / "src" / "kgt5lab"
+REPO_DIR = Path(__file__).resolve().parents[1]
+PACKAGE_DIR = REPO_DIR / "src" / "kgt5lab"
 
 
 def test_no_module_binds_a_top_level_def_twice():
@@ -43,3 +44,35 @@ def test_cli_writes_files_only_through_atomic_write():
                                          and set(mode.value) <= set("rbt")):
                 in_place.append(node.lineno)
     assert in_place == []
+
+
+def referenced_names(tree):
+    """Every identifier a module uses: names, attributes, imported names and
+    identifier-like strings (``monkeypatch.setattr(model, "encode", ...)``
+    and the benchmark tracer name their targets as strings)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rpartition(".")[2]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                yield node.value
+
+
+def test_every_def_is_referenced():
+    # a def that nothing in src/, tests/ or perfbench/ names is dead code
+    used = Counter()
+    for folder in ("src", "tests", "perfbench"):
+        for path in (REPO_DIR / folder).rglob("*.py"):
+            used.update(referenced_names(ast.parse(path.read_text(encoding="utf-8"))))
+    unreferenced = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not (node.name.startswith("__") and node.name.endswith("__"))
+                    and not used[node.name]):
+                unreferenced.append(f"{path.name}:{node.lineno} {node.name}")
+    assert unreferenced == []
