@@ -48,12 +48,12 @@ def _parse_fractions(text: str) -> list[float]:
     return [float(p) for p in text.split(",") if p.strip()]
 
 
-def _deep_update(base: dict, overrides: dict) -> dict:
+def _deep_update(base, overrides):
+    """Two JSON objects merge key by key; any other override replaces ``base``."""
+    if not (isinstance(base, dict) and isinstance(overrides, dict)):
+        return overrides
     for key, value in overrides.items():
-        if isinstance(value, dict) and isinstance(base.get(key), dict):
-            _deep_update(base[key], value)
-        else:
-            base[key] = value
+        base[key] = _deep_update(base.get(key), value)
     return base
 
 
@@ -61,7 +61,7 @@ def _load_experiment(config_path, sim_weight=None) -> harness.ExperimentConfig:
     base = harness.experiment_to_jsonable(harness.ExperimentConfig())
     if config_path:
         with open(config_path, encoding="utf-8") as fh:
-            _deep_update(base, json.load(fh))
+            base = _deep_update(base, json.load(fh))
     exp = harness.experiment_from_jsonable(base)
     if sim_weight is not None:
         exp = replace(exp, loss=trainer.LossSpec(sim_weight=sim_weight))

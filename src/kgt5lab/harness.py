@@ -298,19 +298,39 @@ def experiment_to_jsonable(exp: ExperimentConfig) -> dict:
     return d
 
 
+class ConfigError(ValueError):
+    """An experiment config value that is not an object where one is
+    expected, or a key its config lacks; the message names its key path."""
+
+
+def _fields_of(cls, value, path: str) -> dict:
+    """The JSON object ``value``, whose keys must all be fields of ``cls``."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path} is not an object")
+    unknown = sorted(value.keys() - {f.name for f in dataclasses.fields(cls)})
+    if unknown:
+        raise ConfigError(f"{path}.{unknown[0]}: {cls.__name__} has no such field")
+    return value
+
+
 def experiment_from_jsonable(d: dict) -> ExperimentConfig:
-    kg_spec = d["kg_spec"].copy()
-    kg_spec["occupations"] = tuple(kg_spec["occupations"])
+    """Inverse of ``experiment_to_jsonable``; ``decode_steps``, which older
+    manifests lack, defaults to 4.  Raises ConfigError naming the key path
+    of a value that is not an object where one is expected, or of a key the
+    config lacks."""
+    d = _fields_of(ExperimentConfig, d, "config")
+    section = lambda cls, key: cls(**_fields_of(cls, d[key], f"config.{key}"))
+    kg_spec = section(SyntheticKGSpec, "kg_spec")
     return ExperimentConfig(
-        kg_spec=SyntheticKGSpec(**kg_spec),
+        kg_spec=replace(kg_spec, occupations=tuple(kg_spec.occupations)),
         per_category=dict(d["per_category"]),
         qa_seed=d["qa_seed"],
         split_ratios=tuple(d["split_ratios"]),
-        model=ModelConfig(**d["model"]),
-        transe=TransEConfig(**d["transe"]),
-        pretrain=TrainConfig(**d["pretrain"]),
-        finetune=TrainConfig(**d["finetune"]),
-        loss=LossSpec(**d["loss"]),
+        model=section(ModelConfig, "model"),
+        transe=section(TransEConfig, "transe"),
+        pretrain=section(TrainConfig, "pretrain"),
+        finetune=section(TrainConfig, "finetune"),
+        loss=section(LossSpec, "loss"),
         decode_steps=d.get("decode_steps", 4))
 
 

@@ -547,14 +547,14 @@ def _check_encoder_length(params: ModelParams, enc_input: EncoderInput) -> None:
 
 
 def forward(params: ModelParams, enc_input: EncoderInput,
-            decoder_ids, train_mode: bool, seed) -> Tensor:
+            decoder_ids, train_mode: bool, seed: int) -> Tensor:
     """Teacher-forced logits of a batch, the examples' rows back to back.
 
     ``decoder_ids`` holds one id list per example of ``enc_input``; a batch
-    of one may pass its flat id list.  ``seed`` (an int, or a sequence of
-    ints) seeds the call's one dropout Generator, which in train mode
-    every dropout site draws from in turn, each at the full packed shape of
-    its operand.  Eval mode and rate 0 build no Generator.
+    of one may pass its flat id list.  ``seed`` seeds the call's one
+    dropout Generator, which in train mode every dropout site draws from in
+    turn, each at the full packed shape of its operand.  Eval mode and rate
+    0 build no Generator.
     """
     cfg = params.config
     flat = len(decoder_ids) == 0 or np.isscalar(decoder_ids[0])
@@ -569,7 +569,7 @@ def forward(params: ModelParams, enc_input: EncoderInput,
     _check_encoder_length(params, enc_input)
     rng = None
     if train_mode and cfg.dropout_p > 0.0:
-        rng = np.random.default_rng(seed_seq(*np.ravel(seed).tolist(), "dropout"))
+        rng = np.random.default_rng(seed_seq(seed, "dropout"))
     enc_out = encode(params, enc_input, rng, train_mode)
     return _decode_stack(params, [i for ids in id_lists for i in ids],
                          [len(ids) for ids in id_lists], _cross(params, enc_out, enc_input),

@@ -1,4 +1,4 @@
-"""Joint objective, Adam optimizer, pretrain/fine-tune loops, checkpoints.
+"""Joint objective, Adam optimizer, the training loop, checkpoints.
 
 The fine-tuning loss is ``total = base_cross_entropy + sim_weight * Sim``
 where ``Sim`` is the mean cosine similarity over all linked (entity,
@@ -7,10 +7,12 @@ the objective as written penalizes similarity for positive weights and
 rewards it for negative ones; the default experiment configs use -0.1.
 KG embedding rows touched by a batch are fine-tuned jointly unless frozen.
 
-Each step runs its whole batch as one packed graph (see ``model``); both
-loss terms are still the mean over examples of each example's mean.  A step
-whose loss or pre-clip gradient norm is not finite raises
-``NonFiniteTrainingError`` before any parameter moves.
+Pretraining is the same step and loop over variant-``none`` examples
+(span-corrupted sentences) without the Sim term, as in T5.  Each step runs
+its batch as one packed graph (see ``model``); both loss terms are the mean
+over examples of each example's mean.  A step whose loss or pre-clip
+gradient norm is not finite raises ``NonFiniteTrainingError`` before any
+parameter moves.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import json
 import math
 import struct
 from dataclasses import dataclass, fields
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -229,32 +231,18 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
         p[ids], m[ids], v[ids] = p_rows, m_rows, v_rows
 
 
-def _batches(n_examples: int, batch_size: int, max_steps: int,
-             rng: np.random.Generator) -> Iterator[np.ndarray]:
-    """Shuffled epoch batches, last partial batch kept, until max_steps."""
+def _batches(items: Sequence, cfg: TrainConfig, tag: str) -> Iterator[list]:
+    """Shuffled epochs of ``cfg.batch_size`` items, last partial batch kept,
+    until ``cfg.max_steps``; the order is drawn from ``seed_seq(cfg.seed, tag)``."""
+    rng = np.random.default_rng(seed_seq(cfg.seed, tag))
     produced = 0
-    while produced < max_steps:
-        order = rng.permutation(n_examples)
-        for b0 in range(0, n_examples, batch_size):
-            if produced >= max_steps:
+    while produced < cfg.max_steps:
+        order = rng.permutation(len(items))
+        for b0 in range(0, len(items), cfg.batch_size):
+            if produced >= cfg.max_steps:
                 return
-            yield order[b0:b0 + batch_size]
+            yield [items[i] for i in order[b0:b0 + cfg.batch_size]]
             produced += 1
-
-
-def _collect_grads(params: ModelParams) -> dict[str, np.ndarray]:
-    return {name: (t.grad if t.grad is not None else np.zeros_like(t.data))
-            for name, t in params.tensors.items()}
-
-
-def _checked_norm(step: int, loss: float, sim: Optional[float], total: float,
-                  grads: dict[str, np.ndarray],
-                  sparse: Optional[dict[str, tuple[np.ndarray, np.ndarray]]] = None) -> float:
-    """The step's pre-clip gradient norm; raises if it, L or L' is not finite."""
-    norm = global_norm(grads, sparse)
-    if not (math.isfinite(loss) and math.isfinite(total) and math.isfinite(norm)):
-        raise NonFiniteTrainingError(step, loss, sim, norm)
-    return norm
 
 
 def _batch_targets(targets: Sequence[Sequence[int]]) -> tuple[list[int], np.ndarray]:
@@ -267,63 +255,6 @@ def _batch_targets(targets: Sequence[Sequence[int]]) -> tuple[list[int], np.ndar
         flat += tgt
         weights += [1.0 / (len(targets) * max(n_kept, 1))] * len(tgt)
     return flat, np.array(weights)
-
-
-def _batch_cross_entropy(params: ModelParams, enc, decoder_ins: list[list[int]],
-                         targets: list[list[int]], seed: int, step: int) -> Tensor:
-    """Teacher-forced cross entropy of a packed batch; the step draws its
-    dropout from ``_mix(seed, "fwd", step)``."""
-    logits = forward(params, enc, decoder_ins, train_mode=True, seed=_mix(seed, "fwd", step))
-    flat, weights = _batch_targets(targets)
-    return cross_entropy_mean(logits, flat, ignore_id=PAD_ID, weights=weights)
-
-
-def _pretrain_loss(params: ModelParams, corpus_ids: Sequence[Sequence[int]],
-                   batch: Sequence[int], seed: int, step: int,
-                   corruption_rate: float, mean_span: float) -> Tensor:
-    """Span-corruption loss of one batch; the corrupted inputs enter the
-    encoder as KG-free (variant ``none``) inputs."""
-    augs, decoder_ins, targets = [], [], []
-    for slot, ex in enumerate(batch):
-        inp, tgt = span_corrupt(list(corpus_ids[ex]), corruption_rate, mean_span,
-                                seed=_mix(seed, "corrupt", step, slot))
-        augs.append(AugmentedInput(inp, [], [], "none"))
-        decoder_ins.append([BOS_ID] + tgt[:-1])
-        targets.append(tgt)
-    enc = build_augmented_input(augs, None, params)
-    return _batch_cross_entropy(params, enc, decoder_ins, targets, seed, step)
-
-
-def pretrain(params: ModelParams, corpus_ids: Sequence[Sequence[int]],
-             cfg: TrainConfig, corruption_rate: float = 0.15,
-             mean_span: float = 3.0) -> tuple[ModelParams, list[float]]:
-    """Span-corruption pretraining with base cross entropy only (no KG term).
-
-    Returns the trained params and one mean-loss entry per ``eval_every``
-    steps (plus a final partial window).  Deterministic in ``cfg.seed``.
-    """
-    if not corpus_ids:
-        raise EmptyCorpusError("corpus is empty")
-    batch_rng = np.random.default_rng(seed_seq(cfg.seed, "pretrain-batch"))
-    state = AdamState.init(params.tensors)
-    trace: list[float] = []
-    window: list[float] = []
-    for step, batch in enumerate(_batches(len(corpus_ids), cfg.batch_size,
-                                          cfg.max_steps, batch_rng)):
-        with Tape() as tape:
-            loss = _pretrain_loss(params, corpus_ids, batch, cfg.seed, step,
-                                  corruption_rate, mean_span)
-            backward(tape, loss)
-        grads = _collect_grads(params)
-        norm = _checked_norm(step, loss.item(), None, loss.item(), grads)
-        adam_step(params.tensors, grads, state, cfg, grad_norm=norm)
-        window.append(loss.item())
-        if len(window) == cfg.eval_every:
-            trace.append(float(np.mean(window)))
-            window = []
-    if window:
-        trace.append(float(np.mean(window)))
-    return params, trace
 
 
 def _mix(seed: int, tag: str, *parts: int) -> int:
@@ -353,19 +284,92 @@ def prepare_examples(dataset, kg: KnowledgeGraph, vocab: Vocabulary,
     return prepared
 
 
-def _finetune_loss(params: ModelParams, examples: Sequence[PreparedExample],
-                   ent_t: Tensor, rel_t: Tensor, loss_spec: LossSpec, seed: int,
-                   step: int) -> tuple[Tensor, Tensor, Tensor]:
-    """(L, Sim, L') of one packed batch of prepared examples."""
-    enc = build_augmented_input([ex.aug for ex in examples], (ent_t, rel_t), params)
-    base = _batch_cross_entropy(params, enc, [ex.decoder_in for ex in examples],
-                                [ex.target for ex in examples], seed, step)
-    sim = sim_term((ent_t, rel_t),
+def _step_loss(params: ModelParams, examples: Sequence[PreparedExample],
+               kg_rows: Optional[tuple[Tensor, Tensor]],
+               loss_spec: Optional[LossSpec], seed: int,
+               step: int) -> tuple[Tensor, Optional[Tensor], Tensor]:
+    """(L, Sim, L') of one packed batch, its dropout drawn from
+    ``_mix(seed, "fwd", step)``; without ``loss_spec``, Sim is None and L'
+    is L."""
+    enc = build_augmented_input([ex.aug for ex in examples], kg_rows, params)
+    logits = forward(params, enc, [ex.decoder_in for ex in examples], train_mode=True,
+                     seed=_mix(seed, "fwd", step))
+    flat, weights = _batch_targets([ex.target for ex in examples])
+    base = cross_entropy_mean(logits, flat, ignore_id=PAD_ID, weights=weights)
+    if loss_spec is None:
+        return base, None, base
+    sim = sim_term(kg_rows,
                    [e for ex in examples for e in ex.aug.sim_entity_ids],
                    [r for ex in examples for r in ex.aug.sim_relation_ids],
                    counts=[(len(ex.aug.sim_entity_ids), len(ex.aug.sim_relation_ids))
                            for ex in examples])
     return base, sim, loss_prime(base, sim, loss_spec.sim_weight)
+
+
+def _fit(params: ModelParams, batches: Iterable[Sequence[PreparedExample]],
+         kg_rows: Optional[tuple[Tensor, Tensor]], loss_spec: Optional[LossSpec],
+         cfg: TrainConfig) -> list[tuple[float, Optional[float], float]]:
+    """One Adam step per batch over ``params`` and (iff trainable) the KG
+    rows the batch uses; returns each step's (L, Sim, L').  Gradients are
+    cleared first, so a tensor a step does not reach gets none, not the
+    previous step's."""
+    trained = dict(params.tensors)
+    if kg_rows is not None:
+        trained["kg_entity_rows"], trained["kg_relation_rows"] = kg_rows
+    state = AdamState.init(trained)
+    losses = []
+    for step, examples in enumerate(batches):
+        for t in trained.values():
+            t.grad = None
+        with Tape() as tape:
+            base, sim, total = _step_loss(params, examples, kg_rows, loss_spec,
+                                          cfg.seed, step)
+            backward(tape, total)
+        sparse: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        if kg_rows is not None and cfg.kg_embeddings_trainable:
+            used_ents = {e for ex in examples
+                         for e in ex.aug.input_entity_ids + ex.aug.sim_entity_ids}
+            used_rels = {r for ex in examples
+                         for r in ex.aug.input_relation_ids + ex.aug.sim_relation_ids}
+            for name, rows, used in (("kg_entity_rows", kg_rows[0], used_ents),
+                                     ("kg_relation_rows", kg_rows[1], used_rels)):
+                if used and rows.grad is not None:
+                    ids = np.array(sorted(used), dtype=np.int64)
+                    sparse[name] = (ids, rows.grad[ids])
+        grads = {name: (t.grad if t.grad is not None else np.zeros_like(t.data))
+                 for name, t in params.tensors.items()}
+        norm = global_norm(grads, sparse)
+        base_v, sim_v, total_v = base.item(), None if sim is None else sim.item(), total.item()
+        if not (math.isfinite(base_v) and math.isfinite(total_v) and math.isfinite(norm)):
+            raise NonFiniteTrainingError(step, base_v, sim_v, norm)
+        adam_step(trained, grads, state, cfg, sparse=sparse, grad_norm=norm)
+        losses.append((base_v, sim_v, total_v))
+    return losses
+
+
+def pretrain(params: ModelParams, corpus_ids: Sequence[Sequence[int]],
+             cfg: TrainConfig, corruption_rate: float = 0.15,
+             mean_span: float = 3.0) -> tuple[ModelParams, list[float]]:
+    """Span-corruption pretraining: the fine-tune step over variant-``none``
+    examples (the corrupted sentence in, its sentinel spans out) without the
+    Sim term.
+
+    Returns the trained params and one mean-loss entry per ``eval_every``
+    steps (plus a final partial window).  Deterministic in ``cfg.seed``.
+    """
+    if not corpus_ids:
+        raise EmptyCorpusError("corpus is empty")
+
+    def corrupted(step: int, slot: int, ids: Sequence[int]) -> PreparedExample:
+        inp, tgt = span_corrupt(list(ids), corruption_rate, mean_span,
+                                seed=_mix(cfg.seed, "corrupt", step, slot))
+        return PreparedExample(AugmentedInput(inp, [], [], "none"), [BOS_ID] + tgt[:-1], tgt)
+
+    batches = ([corrupted(step, slot, ids) for slot, ids in enumerate(batch)]
+               for step, batch in enumerate(_batches(corpus_ids, cfg, "pretrain-batch")))
+    losses = [base for base, _, _ in _fit(params, batches, None, None, cfg)]
+    return params, [float(np.mean(losses[i:i + cfg.eval_every]))
+                    for i in range(0, len(losses), cfg.eval_every)]
 
 
 def finetune(params: ModelParams, dataset, kg: KnowledgeGraph,
@@ -374,46 +378,21 @@ def finetune(params: ModelParams, dataset, kg: KnowledgeGraph,
              ) -> tuple[ModelParams, EmbeddingTable, list[tuple[int, float, float, float]]]:
     """Fine-tune on QA examples with the joint objective.
 
-    Per step: link mentions, build the augmented input per ``variant``,
-    teacher-forced cross entropy on the answer plus the weighted similarity
-    term; Adam over model parameters and (iff kg_embeddings_trainable) the
-    embedding rows used by the batch.  Trace records (step, L, Sim, L').
+    Mentions are linked once; per step: build the augmented input per
+    ``variant``, teacher-forced cross entropy on the answer plus the
+    weighted similarity term; Adam over model parameters and (iff
+    kg_embeddings_trainable) the embedding rows used by the batch.  Trace
+    records (step, L, Sim, L').  Pretraining runs the same step without the
+    Sim term.
     """
     if not dataset:
         raise EmptyDatasetError("dataset is empty")
-    prepared = prepare_examples(dataset, kg, vocab, variant)
+    batches = _batches(prepare_examples(dataset, kg, vocab, variant), cfg, "finetune-batch")
     ent_t = Tensor(emb.entity_vecs.copy(), requires_grad=cfg.kg_embeddings_trainable)
     rel_t = Tensor(emb.relation_vecs.copy(), requires_grad=cfg.kg_embeddings_trainable)
-    emb_params = {"kg_entity_rows": ent_t, "kg_relation_rows": rel_t}
-    state = AdamState.init({**params.tensors, **emb_params})
-    batch_rng = np.random.default_rng(seed_seq(cfg.seed, "finetune-batch"))
-    trace: list[tuple[int, float, float, float]] = []
-    for step, batch in enumerate(_batches(len(prepared), cfg.batch_size,
-                                          cfg.max_steps, batch_rng)):
-        examples = [prepared[i] for i in batch]
-        with Tape() as tape:
-            base, sim, total = _finetune_loss(params, examples, ent_t, rel_t,
-                                              loss_spec, cfg.seed, step)
-            backward(tape, total)
-        sparse: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        if cfg.kg_embeddings_trainable:
-            used_ents = {e for ex in examples
-                         for e in ex.aug.input_entity_ids + ex.aug.sim_entity_ids}
-            used_rels = {r for ex in examples
-                         for r in ex.aug.input_relation_ids + ex.aug.sim_relation_ids}
-            if used_ents and ent_t.grad is not None:
-                ids = np.array(sorted(used_ents), dtype=np.int64)
-                sparse["kg_entity_rows"] = (ids, ent_t.grad[ids])
-            if used_rels and rel_t.grad is not None:
-                ids = np.array(sorted(used_rels), dtype=np.int64)
-                sparse["kg_relation_rows"] = (ids, rel_t.grad[ids])
-        grads = _collect_grads(params)
-        norm = _checked_norm(step, base.item(), sim.item(), total.item(), grads, sparse)
-        adam_step({**params.tensors, **emb_params}, grads, state, cfg,
-                  sparse=sparse, grad_norm=norm)
-        trace.append((step, base.item(), sim.item(), total.item()))
-    out_emb = EmbeddingTable(emb.dim, ent_t.data, rel_t.data)
-    return params, out_emb, trace
+    trace = [(step, *loss)
+             for step, loss in enumerate(_fit(params, batches, (ent_t, rel_t), loss_spec, cfg))]
+    return params, EmbeddingTable(emb.dim, ent_t.data, rel_t.data), trace
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from kgt5lab import data
 from kgt5lab.cli import main
 from kgt5lab.harness import emit_report, parse_report_csv, run_from_manifest
@@ -49,6 +51,18 @@ class TestUsageErrors:
                      "--kg", "kg.tsv", "--config", write_config(tmp_path),
                      "--out", str(tmp_path / "ft")]) == 1
         assert not (tmp_path / "ft").exists()
+
+    @pytest.mark.parametrize("config, message", [
+        ({"finetune": {"bogus": 1}}, "config.finetune.bogus"),
+        ([TINY_CONFIG], "config is not an object"),
+    ], ids=["unknown-key", "list"])
+    def test_bad_config_exits_1_naming_the_key(self, tmp_path, capsys, config, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        assert main(["ablate", "--seeds", "1", "--config", str(path),
+                     "--out", str(tmp_path / "ab")]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "ab").exists()
 
 
 class TestGenPipeline:

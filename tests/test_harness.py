@@ -9,9 +9,9 @@ import pytest
 from kgt5lab import harness, model
 from kgt5lab.data import SyntheticKGSpec
 from kgt5lab.embeddings import TransEConfig, init_embeddings
-from kgt5lab.harness import (CSV_COLUMNS, DECODE_WINDOW, ExperimentConfig,
-                             MetricsReport, build_vocabulary, build_world,
-                             emit_report, evaluate_split, exact_match,
+from kgt5lab.harness import (CSV_COLUMNS, DECODE_WINDOW, ConfigError,
+                             ExperimentConfig, MetricsReport, build_vocabulary,
+                             build_world, emit_report, evaluate_split, exact_match,
                              experiment_from_jsonable, experiment_to_jsonable,
                              make_manifest, parse_report_csv, render_markdown,
                              run_ablation, run_from_manifest, run_scale_sweep,
@@ -277,6 +277,24 @@ class TestManifest:
         blob = json.dumps(experiment_to_jsonable(exp))
         back = experiment_from_jsonable(json.loads(blob))
         assert back == exp
+
+    def test_manifest_without_decode_steps_loads(self):
+        d = experiment_to_jsonable(tiny_experiment())
+        del d["decode_steps"]
+        assert experiment_from_jsonable(d) == replace(tiny_experiment(), decode_steps=4)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: [d], "config is not an object"),
+        (lambda d: {**d, "finetune": {**d["finetune"], "bogus": 1}},
+         "config.finetune.bogus: TrainConfig has no such field"),
+        (lambda d: {**d, "bogus": 1}, "config.bogus: ExperimentConfig has no"),
+        (lambda d: {**d, "model": [d["model"]]}, "config.model is not an object"),
+    ], ids=["list", "section-key", "top-key", "section-list"])
+    def test_bad_config_raises_config_error_naming_the_key(self, edit, message):
+        d = experiment_to_jsonable(tiny_experiment())
+        with pytest.raises(ConfigError) as info:
+            experiment_from_jsonable(edit(d))
+        assert str(info.value).startswith(message)
 
     def test_rerun_reproduces_reports_bit_exactly(self, tmp_path):
         exp = tiny_experiment()

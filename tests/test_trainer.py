@@ -18,15 +18,16 @@ from kgt5lab.autodiff import (Tape, Tensor, add, backward, cosine_similarity,
                               cross_entropy_mean, gather_rows, reshape,
                               scalar_mul)
 from kgt5lab.data import SyntheticKGSpec, gen_qa, gen_synthetic_kg
-from kgt5lab.embeddings import EmbeddingTable, ZeroVectorError, cosine_sim
-from kgt5lab.model import (BOS_ID, PAD_ID, EncoderInput, ModelConfig,
-                           ModelParams, build_augmented_input, build_vocab,
-                           forward, span_corrupt)
+from kgt5lab.embeddings import (EmbeddingTable, TransEConfig, ZeroVectorError,
+                                cosine_sim, train_kg_embeddings)
+from kgt5lab.model import (BOS_ID, PAD_ID, AugmentedInput, EncoderInput,
+                           ModelConfig, ModelParams, build_augmented_input,
+                           build_vocab, forward, span_corrupt)
 from kgt5lab.trainer import (AdamState, BadMagicError, CheckpointEmbeddingError,
                              CheckpointHeaderError, CheckpointLayoutError,
                              CheckpointShapeError,
                              EmptyDatasetError, LossSpec,
-                             NonFiniteTrainingError, TrainConfig,
+                             NonFiniteTrainingError, PreparedExample, TrainConfig,
                              TruncatedFileError, VersionUnsupportedError,
                              adam_step, finetune, load_checkpoint, loss_prime,
                              prepare_examples, pretrain, save_checkpoint,
@@ -155,12 +156,11 @@ def reference_finetune_loss(params, examples, ent_t, rel_t, sim_weight):
     return base, sim, loss_prime(base, sim, sim_weight)
 
 
-def reference_pretrain_loss(params, corpus_ids, batch, seed, step):
-    """One pretrain step's loss built one example at a time."""
+def reference_pretrain_loss(params, corrupted):
+    """One pretrain step's loss built one example at a time from its
+    (corrupted input, target) pairs."""
     losses = []
-    for slot, ex in enumerate(batch):
-        inp, tgt = span_corrupt(list(corpus_ids[ex]), 0.15, 3.0,
-                                seed=trainer._mix(seed, "corrupt", step, slot))
+    for inp, tgt in corrupted:
         enc = EncoderInput(rows=gather_rows(params["tok_emb"], inp), n_text=(len(inp),),
                            lengths=(len(inp),))
         logits = forward(params, enc, [BOS_ID] + tgt[:-1], train_mode=True, seed=0)
@@ -218,8 +218,8 @@ class TestPackedStep:
         ent_t = Tensor(emb.entity_vecs.copy(), requires_grad=True)
         rel_t = Tensor(emb.relation_vecs.copy(), requires_grad=True)
         tensors = {**params.tensors, "kg.ent": ent_t, "kg.rel": rel_t}
-        packed = run_step(lambda: trainer._finetune_loss(
-            params, examples, ent_t, rel_t, LossSpec(-0.1), 3, 2), tensors)
+        packed = run_step(lambda: trainer._step_loss(
+            params, examples, (ent_t, rel_t), LossSpec(-0.1), 3, 2), tensors)
         reference = run_step(lambda: reference_finetune_loss(
             params, examples, ent_t, rel_t, -0.1), tensors)
         assert_step_parity(packed, reference)
@@ -231,10 +231,17 @@ class TestPackedStep:
         kg, corpus, dataset, vocab = small_world()
         _, params = tiny_model(vocab, dropout_p=0.0)
         ids = [vocab.encode(s) for s in corpus]
-        packed = run_step(lambda: trainer._pretrain_loss(
-            params, ids, batch, 5, 1, 0.15, 3.0), params.tensors)
-        reference = run_step(lambda: reference_pretrain_loss(
-            params, ids, batch, 5, 1), params.tensors)
+        corrupted = [span_corrupt(list(ids[ex]), 0.15, 3.0,
+                                  seed=trainer._mix(5, "corrupt", 1, slot))
+                     for slot, ex in enumerate(batch)]
+        examples = [PreparedExample(AugmentedInput(inp, [], [], "none"),
+                                    [BOS_ID] + tgt[:-1], tgt) for inp, tgt in corrupted]
+        base, sim, total = trainer._step_loss(params, examples, None, None, 5, 1)
+        assert sim is None and total is base
+        packed = run_step(lambda: trainer._step_loss(params, examples, None, None, 5, 1)[0],
+                          params.tensors)
+        reference = run_step(lambda: reference_pretrain_loss(params, corrupted),
+                             params.tensors)
         assert_step_parity(packed, reference)
 
 
@@ -494,6 +501,27 @@ class TestFinetune:
                                              kg_embeddings_trainable=True), vocab)
         assert not np.array_equal(emb_out.entity_vecs, before)
 
+    def test_step_that_links_nothing_gets_no_kg_gradient(self, monkeypatch):
+        # a KG-free batch right after a linked one must not be handed the
+        # linked step's kg_proj gradient again
+        kg, corpus, dataset, vocab = small_world()
+        _, params = tiny_model(vocab)
+        linked = next(ex for ex in dataset if ex.category == "hop1")
+        unlinked = replace(linked, question="what is the answer")
+        seen = []
+        step = trainer.adam_step
+
+        def recording(params_, grads, *args, **kwargs):
+            seen.append((grads["kg_proj"].copy(), bool(kwargs["sparse"])))
+            return step(params_, grads, *args, **kwargs)
+
+        monkeypatch.setattr(trainer, "adam_step", recording)
+        finetune(params, [linked, unlinked], kg, random_emb(kg.n_entities, kg.n_relations),
+                 LossSpec(), "both", TrainConfig(batch_size=1, max_steps=8, seed=0), vocab)
+        assert any(a[1] and not b[1] for a, b in zip(seen, seen[1:]))
+        for grad, has_kg_rows in seen:
+            assert np.any(grad != 0) == has_kg_rows
+
     def test_frozen_embeddings_do_not_move(self):
         kg, corpus, dataset, vocab = small_world()
         cfg, params = tiny_model(vocab)
@@ -504,6 +532,31 @@ class TestFinetune:
                                  TrainConfig(max_steps=5, seed=0,
                                              kg_embeddings_trainable=False), vocab)
         assert np.array_equal(emb_out.entity_vecs, before)
+
+
+GOLDEN_TRAIN_DIGEST = "ae0bbebad3e697517aeba9a9ae2ba1eb9105be013d5a4521bcec3ce631f17daa"
+
+
+class TestTrainGolden:
+    """Pretraining, TransE and the four variant fine-tunes on a pinned small
+    world reproduce the recorded bytes: every trace, parameter and KG row."""
+
+    def test_pinned_training_digest(self):
+        kg, corpus, dataset, vocab = small_world()
+        _, params0 = tiny_model(vocab)
+        h = hashlib.sha256()
+        params0, pre_trace = pretrain(params0, [vocab.encode(s) for s in corpus],
+                                      TrainConfig(max_steps=40, seed=3, eval_every=10))
+        emb, transe_trace = train_kg_embeddings(kg, TransEConfig(epochs=20, seed=3), 8)
+        h.update(np.array(pre_trace + transe_trace).tobytes())
+        for variant in ("none", "entity", "relation", "both"):
+            params, emb_v, trace = finetune(params0.copy(), dataset, kg, emb.copy(),
+                                            LossSpec(), variant,
+                                            TrainConfig(max_steps=60, seed=3), vocab)
+            h.update(np.array([v for row in trace for v in row[1:]]).tobytes())
+            h.update(params_digest(params).encode())
+            h.update(emb_v.entity_vecs.tobytes() + emb_v.relation_vecs.tobytes())
+        assert h.hexdigest() == GOLDEN_TRAIN_DIGEST
 
 
 class TestCheckpoint:
