@@ -16,6 +16,7 @@ import dataclasses
 import datetime
 import json
 import statistics
+import typing
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -64,8 +65,8 @@ class ExperimentConfig:
     """Everything needed to reproduce an experiment bit-exactly."""
 
     kg_spec: SyntheticKGSpec = field(default_factory=SyntheticKGSpec)
-    per_category: dict = field(default_factory=lambda: {"hop1": 130, "context": 130,
-                                                        "hop2": 220})
+    per_category: dict[str, int] = field(default_factory=lambda: {"hop1": 130, "context": 130,
+                                                                  "hop2": 220})
     qa_seed: int = 0
     split_ratios: tuple[float, float] = (0.67, 0.33)
     model: ModelConfig = field(default_factory=lambda: ModelConfig(vocab_size=1))
@@ -299,39 +300,67 @@ def experiment_to_jsonable(exp: ExperimentConfig) -> dict:
 
 
 class ConfigError(ValueError):
-    """An experiment config value that is not an object where one is
-    expected, or a key its config lacks; the message names its key path."""
+    """An experiment config value that does not have its field's type, a
+    key its config lacks or a required key it misses; the message names
+    its key path."""
 
 
-def _fields_of(cls, value, path: str) -> dict:
-    """The JSON object ``value``, whose keys must all be fields of ``cls``."""
-    if not isinstance(value, dict):
-        raise ConfigError(f"{path} is not an object")
-    unknown = sorted(value.keys() - {f.name for f in dataclasses.fields(cls)})
-    if unknown:
-        raise ConfigError(f"{path}.{unknown[0]}: {cls.__name__} has no such field")
-    return value
+def _from_jsonable(tp, value, path: str):
+    """``value``, parsed from JSON, as the field type ``tp``.
+
+    Dataclasses come from objects, tuples from arrays and ``dict[str, X]``
+    from objects, element by element; an int is accepted as a float, a
+    bool is not accepted as an int."""
+    if dataclasses.is_dataclass(tp):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{path} is not an object")
+        fields = {f.name: f for f in dataclasses.fields(tp)}
+        unknown = sorted(value.keys() - fields.keys())
+        if unknown:
+            raise ConfigError(f"{path}.{unknown[0]}: {tp.__name__} has no such field")
+        missing = [name for name, f in fields.items() if name not in value
+                   and f.default is dataclasses.MISSING
+                   and f.default_factory is dataclasses.MISSING]
+        if missing:
+            raise ConfigError(f"{path}.{missing[0]} is missing")
+        hints = typing.get_type_hints(tp)
+        return tp(**{key: _from_jsonable(hints[key], v, f"{path}.{key}")
+                     for key, v in value.items()})
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is typing.Union:  # Optional[X]
+        if value is None and type(None) in args:
+            return None
+        (tp,) = [a for a in args if a is not type(None)]
+        origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{path} is not an array")
+        types = [args[0]] * len(value) if args[-1] is Ellipsis else list(args)
+        if len(types) != len(value):
+            raise ConfigError(f"{path} has {len(value)} elements, expected {len(types)}")
+        return tuple(_from_jsonable(t, v, f"{path}[{i}]")
+                     for i, (t, v) in enumerate(zip(types, value)))
+    if origin is dict:
+        if not isinstance(value, dict):
+            raise ConfigError(f"{path} is not an object")
+        return {_from_jsonable(args[0], key, path): _from_jsonable(args[1], v, f"{path}.{key}")
+                for key, v in value.items()}
+    if tp is float and isinstance(value, int) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            raise ConfigError(f"{path} is out of range for a float") from None
+    if isinstance(value, tp) and (tp is bool or not isinstance(value, bool)):
+        return value
+    raise ConfigError(f"{path} must be {tp.__name__}, not {type(value).__name__}")
 
 
 def experiment_from_jsonable(d: dict) -> ExperimentConfig:
-    """Inverse of ``experiment_to_jsonable``; ``decode_steps``, which older
-    manifests lack, defaults to 4.  Raises ConfigError naming the key path
-    of a value that is not an object where one is expected, or of a key the
-    config lacks."""
-    d = _fields_of(ExperimentConfig, d, "config")
-    section = lambda cls, key: cls(**_fields_of(cls, d[key], f"config.{key}"))
-    kg_spec = section(SyntheticKGSpec, "kg_spec")
-    return ExperimentConfig(
-        kg_spec=replace(kg_spec, occupations=tuple(kg_spec.occupations)),
-        per_category=dict(d["per_category"]),
-        qa_seed=d["qa_seed"],
-        split_ratios=tuple(d["split_ratios"]),
-        model=section(ModelConfig, "model"),
-        transe=section(TransEConfig, "transe"),
-        pretrain=section(TrainConfig, "pretrain"),
-        finetune=section(TrainConfig, "finetune"),
-        loss=section(LossSpec, "loss"),
-        decode_steps=d.get("decode_steps", 4))
+    """Inverse of ``experiment_to_jsonable``; a missing key takes its
+    default, so older manifests without ``decode_steps`` load with 4.
+    Raises ConfigError naming the key path of a value that does not have
+    its field's type, or of a key the config lacks."""
+    return _from_jsonable(ExperimentConfig, d, "config")
 
 
 def make_manifest(experiment: str, exp: ExperimentConfig, seeds: Sequence[int],

@@ -55,7 +55,10 @@ class TestUsageErrors:
     @pytest.mark.parametrize("config, message", [
         ({"finetune": {"bogus": 1}}, "config.finetune.bogus"),
         ([TINY_CONFIG], "config is not an object"),
-    ], ids=["unknown-key", "list"])
+        ({"finetune": {"batch_size": "x"}}, "config.finetune.batch_size must be int"),
+        ({"per_category": 3}, "config.per_category is not an object"),
+        ({"transe": {"epochs": 2.5}}, "config.transe.epochs must be int"),
+    ], ids=["unknown-key", "list", "str-for-int", "int-for-object", "float-for-int"])
     def test_bad_config_exits_1_naming_the_key(self, tmp_path, capsys, config, message):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(config))

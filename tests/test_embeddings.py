@@ -215,6 +215,18 @@ class TestTouchedRowUpdate:
         assert a.relation_vecs.tobytes() == b.relation_vecs.tobytes()
         assert np.array(ta).tobytes() == np.array(tb).tobytes()
 
+    @staticmethod
+    def check_epoch(ent, rel, args, reference_args=None):
+        """One epoch of each from copies of the tables: equal loss and table
+        bytes; returns the loss."""
+        ent_a, rel_a, ent_b, rel_b = ent.copy(), rel.copy(), ent.copy(), rel.copy()
+        loss = embeddings._transe_epoch(ent_a, rel_a, *args)
+        loss_b = reference_transe_epoch(ent_b, rel_b, *(reference_args or args))
+        assert np.float64(loss).tobytes() == np.float64(loss_b).tobytes()
+        assert ent_a.tobytes() == ent_b.tobytes()
+        assert rel_a.tobytes() == rel_b.tobytes()
+        return loss
+
     @pytest.mark.parametrize("k", [1, 2])
     def test_seeded_kg(self, monkeypatch, k):
         cfg = TransEConfig(epochs=8, seed=2, batch_size=32, negatives_per_positive=k)
@@ -280,6 +292,55 @@ class TestTouchedRowUpdate:
         cfg = TransEConfig(epochs=5, seed=6, batch_size=10, negatives_per_positive=3)
         assert len(g.triples) % cfg.batch_size != 0
         self.check(monkeypatch, g, cfg, d=12)
+
+    def test_benchmark_scale_graph(self, monkeypatch):
+        # a 20x world's quarter subgraph, as the kg-sweep benchmark trains:
+        # batches of 128 touch hundreds of distinct rows
+        from kgt5lab.data import SyntheticKGSpec, gen_synthetic_kg
+        world, _ = gen_synthetic_kg(SyntheticKGSpec(n_people=4800, n_cities=480,
+                                                    n_countries=240, seed=1))
+        g = subgraph_fraction(world, 0.25, 1)
+        assert g.n_entities > 2000
+        self.check(monkeypatch, g, TransEConfig(epochs=2, seed=1), d=32)
+
+    @pytest.mark.parametrize("batch_size, d", [(1, 8), (500, 8), (32, 1)],
+                             ids=["batch-1", "batch-over-triples", "d-1"])
+    def test_batch_and_width_extremes(self, monkeypatch, batch_size, d):
+        g = seeded_kg_50()
+        cfg = TransEConfig(epochs=3, seed=7, batch_size=batch_size, negatives_per_positive=2)
+        self.check(monkeypatch, g, cfg, d=d)
+
+    def test_negative_rows_past_order_are_not_read(self):
+        g = seeded_kg_50()
+        heads, rels, tails = embeddings._triple_arrays(g)
+        rng = np.random.default_rng(8)
+        n, m, k = len(heads), 40, 2
+        ent = rng.normal(size=(g.n_entities, 6))
+        rel = rng.normal(size=(g.n_relations, 6))
+        order = rng.permutation(n)[:m]
+        sides = rng.integers(0, 2, size=(n, k))
+        corrupts = rng.integers(0, g.n_entities, size=(n, k))
+        # rows past len(order) hold a side and ids no table has
+        sides[m:], corrupts[m:] = 5, g.n_entities + 100
+        loss = self.check_epoch(
+            ent, rel, (heads, rels, tails, order, sides, corrupts, 1.0, 0.1, 16),
+            (heads, rels, tails, order, sides[:m], corrupts[:m], 1.0, 0.1, 16))
+        assert loss > 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(n_ent=st.integers(2, 30), n_rel=st.integers(1, 5), n=st.integers(1, 60),
+           k=st.integers(1, 3), batch_size=st.integers(1, 16), d=st.integers(1, 8),
+           margin=st.floats(0.1, 4.0), seed=st.integers(0, 2**32 - 1))
+    def test_epoch_matches_reference_on_random_graphs(self, n_ent, n_rel, n, k,
+                                                       batch_size, d, margin, seed):
+        rng = np.random.default_rng(seed)
+        heads, tails = rng.integers(0, n_ent, size=(2, n))
+        rels = rng.integers(0, n_rel, size=n)
+        ent = rng.normal(size=(n_ent, d))
+        rel = rng.normal(size=(n_rel, d))
+        self.check_epoch(ent, rel, (heads, rels, tails, rng.permutation(n),
+                                    rng.integers(0, 2, size=(n, k)),
+                                    rng.integers(0, n_ent, size=(n, k)), margin, 0.05, batch_size))
 
 
 def seeded_kg_50():

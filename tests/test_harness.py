@@ -296,6 +296,44 @@ class TestManifest:
             experiment_from_jsonable(edit(d))
         assert str(info.value).startswith(message)
 
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("finetune", "batch_size", "x", "config.finetune.batch_size must be int, not str"),
+        ("transe", "epochs", 2.5, "config.transe.epochs must be int, not float"),
+        ("transe", "epochs", True, "config.transe.epochs must be int, not bool"),
+        ("pretrain", "kg_embeddings_trainable", 1,
+         "config.pretrain.kg_embeddings_trainable must be bool, not int"),
+        ("pretrain", "grad_clip_norm", "1", "config.pretrain.grad_clip_norm must be float"),
+        ("transe", "margin", 10**400, "config.transe.margin is out of range for a float"),
+        ("kg_spec", "occupations", "smith", "config.kg_spec.occupations is not an array"),
+        ("kg_spec", "occupations", ["smith", 3], "config.kg_spec.occupations[1] must be str"),
+        (None, "per_category", 3, "config.per_category is not an object"),
+        (None, "per_category", {"hop1": 8.0}, "config.per_category.hop1 must be int, not float"),
+        (None, "split_ratios", [0.5], "config.split_ratios has 1 elements, expected 2"),
+        (None, "split_ratios", [0.5, "x"], "config.split_ratios[1] must be float, not str"),
+        (None, "qa_seed", None, "config.qa_seed must be int, not NoneType"),
+    ], ids=["int-str", "int-float", "int-bool", "bool-int", "optional-str", "float-overflow",
+            "tuple-str", "tuple-element", "dict-int", "dict-value", "tuple-length",
+            "tuple-float-str", "int-null"])
+    def test_mistyped_value_raises_config_error(self, section, key, value, message):
+        d = experiment_to_jsonable(tiny_experiment())
+        (d[section] if section else d)[key] = value
+        with pytest.raises(ConfigError) as info:
+            experiment_from_jsonable(d)
+        assert str(info.value).startswith(message)
+
+    def test_missing_required_key_raises_config_error(self):
+        d = experiment_to_jsonable(tiny_experiment())
+        del d["model"]["vocab_size"]
+        with pytest.raises(ConfigError, match="config.model.vocab_size is missing"):
+            experiment_from_jsonable(d)
+
+    def test_int_accepted_as_float_and_null_as_optional(self):
+        d = experiment_to_jsonable(tiny_experiment())
+        d["transe"]["margin"], d["pretrain"]["grad_clip_norm"] = 2, None
+        exp = experiment_from_jsonable(d)
+        assert exp.transe.margin == 2.0 and isinstance(exp.transe.margin, float)
+        assert exp.pretrain.grad_clip_norm is None
+
     def test_rerun_reproduces_reports_bit_exactly(self, tmp_path):
         exp = tiny_experiment()
         kg, corpus, dataset = build_world(exp)
