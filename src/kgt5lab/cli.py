@@ -251,6 +251,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="kgt5lab", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    exp = harness.ExperimentConfig()  # the flags' defaults
 
     def common(p):
         p.add_argument("--seed", type=int, default=0)
@@ -264,29 +265,29 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("gen-kg", help="generate a seeded synthetic KG and corpus")
     common(p)
-    p.add_argument("--people", type=int, default=240)
-    p.add_argument("--cities", type=int, default=24)
-    p.add_argument("--countries", type=int, default=12)
+    p.add_argument("--people", type=int, default=data_mod.SyntheticKGSpec.n_people)
+    p.add_argument("--cities", type=int, default=data_mod.SyntheticKGSpec.n_cities)
+    p.add_argument("--countries", type=int, default=data_mod.SyntheticKGSpec.n_countries)
     p.add_argument("--occupations", default=None, help="comma-separated names")
     p.set_defaults(func=cmd_gen_kg)
 
     p = sub.add_parser("gen-qa", help="generate QA examples over a KG")
     common(p)
     p.add_argument("--kg", required=True)
-    p.add_argument("--hop1", type=int, default=130)
-    p.add_argument("--context", type=int, default=130)
-    p.add_argument("--hop2", type=int, default=220)
+    p.add_argument("--hop1", type=int, default=exp.per_category["hop1"])
+    p.add_argument("--context", type=int, default=exp.per_category["context"])
+    p.add_argument("--hop2", type=int, default=exp.per_category["hop2"])
     p.set_defaults(func=cmd_gen_qa)
 
     p = sub.add_parser("train-embed", help="pre-train KG embeddings")
     common(p)
     p.add_argument("--kg", required=True)
-    p.add_argument("--dim", type=int, default=32)
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--lr", type=float, default=0.01)
-    p.add_argument("--margin", type=float, default=1.0)
-    p.add_argument("--batch-size", type=int, default=128)
-    p.add_argument("--negatives", type=int, default=1)
+    p.add_argument("--dim", type=int, default=ModelConfig.d_kg)
+    p.add_argument("--epochs", type=int, default=emb_mod.TransEConfig.epochs)
+    p.add_argument("--lr", type=float, default=emb_mod.TransEConfig.learning_rate)
+    p.add_argument("--margin", type=float, default=emb_mod.TransEConfig.margin)
+    p.add_argument("--batch-size", type=int, default=emb_mod.TransEConfig.batch_size)
+    p.add_argument("--negatives", type=int, default=emb_mod.TransEConfig.negatives_per_positive)
     p.set_defaults(func=cmd_train_embed)
 
     p = sub.add_parser("pretrain", help="span-corruption pretraining")
@@ -294,10 +295,10 @@ def build_parser() -> _Parser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--qa", default=None, help="QA jsonl folded into the vocabulary")
     p.add_argument("--kg", default=None)
-    p.add_argument("--steps", type=int, default=300)
-    p.add_argument("--lr", type=float, default=3e-3)
-    p.add_argument("--batch-size", type=int, default=8)
-    p.add_argument("--dim", type=int, default=32, help="KG embedding dim (d_kg)")
+    p.add_argument("--steps", type=int, default=exp.pretrain.max_steps)
+    p.add_argument("--lr", type=float, default=exp.pretrain.learning_rate)
+    p.add_argument("--batch-size", type=int, default=exp.pretrain.batch_size)
+    p.add_argument("--dim", type=int, default=ModelConfig.d_kg, help="KG embedding dim (d_kg)")
     p.set_defaults(func=cmd_pretrain)
 
     p = sub.add_parser("finetune", help="fine-tune with the joint objective")
@@ -307,10 +308,10 @@ def build_parser() -> _Parser:
     p.add_argument("--kg", required=True)
     p.add_argument("--embeddings", default=None)
     p.add_argument("--variant", choices=VARIANTS, default="both")
-    p.add_argument("--lambda", dest="sim_weight", type=float, default=-0.1)
-    p.add_argument("--steps", type=int, default=800)
-    p.add_argument("--lr", type=float, default=3e-3)
-    p.add_argument("--batch-size", type=int, default=8)
+    p.add_argument("--lambda", dest="sim_weight", type=float, default=trainer.LossSpec.sim_weight)
+    p.add_argument("--steps", type=int, default=exp.finetune.max_steps)
+    p.add_argument("--lr", type=float, default=exp.finetune.learning_rate)
+    p.add_argument("--batch-size", type=int, default=exp.finetune.batch_size)
     p.set_defaults(func=cmd_finetune)
 
     p = sub.add_parser("eval", help="exact-match evaluation of a checkpoint")

@@ -8,6 +8,7 @@ after each epoch.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,8 +59,8 @@ class TransEConfig:
     init_scale: float = 6.0
 
     def __post_init__(self):
-        if self.margin <= 0 or self.learning_rate <= 0 or self.init_scale <= 0:
-            raise ValueError("margin, learning_rate and init_scale must be positive")
+        if not all(0 < x < math.inf for x in (self.margin, self.learning_rate, self.init_scale)):
+            raise ValueError("margin, learning_rate and init_scale must be finite and positive")
         if self.negatives_per_positive < 1 or self.batch_size < 1:
             raise ValueError("negatives_per_positive and batch_size must be >= 1")
         if self.epochs < 0:

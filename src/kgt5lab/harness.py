@@ -18,7 +18,7 @@ import json
 import statistics
 import typing
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import __version__
 from .data import (CATEGORIES, QAExample, SyntheticKGSpec, gen_qa,
@@ -35,9 +35,6 @@ from .trainer import LossSpec, TrainConfig, finetune, prepare_examples, pretrain
 # 32 and more saved little time and cost several MB of peak memory.
 DECODE_WINDOW = 16
 
-CSV_COLUMNS = ("variant", "kg_fraction", "seed", "em_hop1", "em_context",
-               "em_hop2", "n_hop1", "n_context", "n_hop2", "final_L", "final_Sim")
-
 
 def exact_match(prediction: str, gold: str) -> int:
     """1 iff equal after lowercasing, trimming and collapsing whitespace."""
@@ -47,6 +44,9 @@ def exact_match(prediction: str, gold: str) -> int:
 
 @dataclass
 class MetricsReport:
+    """One metrics row; its fields, in order and by declared type, are the
+    schema of the metrics CSV and of the markdown "All runs" table."""
+
     variant: str
     kg_fraction: float
     seed: int
@@ -58,6 +58,18 @@ class MetricsReport:
     n_hop2: int
     final_L: float
     final_Sim: float
+
+
+_REPORT_TYPES = typing.get_type_hints(MetricsReport)
+CSV_COLUMNS = tuple(_REPORT_TYPES)
+# How a value of each declared field type is written: floats round-trip
+# bit-exactly in the CSV and show 4 decimals in markdown.
+_CSV_FORMATS = {float: lambda x: f"{x:.17g}", int: str, str: str}
+_MARKDOWN_FORMATS = {float: lambda x: f"{x:.4f}", int: str, str: str}
+
+
+def _cells(report: MetricsReport, formats: dict) -> list[str]:
+    return [formats[tp](getattr(report, name)) for name, tp in _REPORT_TYPES.items()]
 
 
 @dataclass
@@ -194,22 +206,12 @@ def run_scale_sweep(kg: KnowledgeGraph, corpus: Sequence[str],
 # report emission
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def emit_report(reports: Sequence[MetricsReport], format: str, path) -> None:
     """CSV with the fixed column schema, or markdown tables with medians."""
     if not reports:
         raise ValueError("no reports to emit")
     if format == "csv":
-        lines = [",".join(CSV_COLUMNS)]
-        for r in reports:
-            lines.append(",".join([
-                r.variant, _fmt(r.kg_fraction), str(r.seed),
-                _fmt(r.em_hop1), _fmt(r.em_context), _fmt(r.em_hop2),
-                str(r.n_hop1), str(r.n_context), str(r.n_hop2),
-                _fmt(r.final_L), _fmt(r.final_Sim)]))
+        lines = [",".join(CSV_COLUMNS)] + [",".join(_cells(r, _CSV_FORMATS)) for r in reports]
         with atomic_write(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
     elif format == "markdown":
@@ -220,23 +222,39 @@ def emit_report(reports: Sequence[MetricsReport], format: str, path) -> None:
 
 
 def parse_report_csv(path) -> list[MetricsReport]:
+    """Inverse of the CSV ``emit_report`` writes: a ``CSV_COLUMNS`` header,
+    then one ``MetricsReport`` per line, each value parsed by its field's
+    declared type.  Raises ValueError for a bad header or a bad value, or
+    naming the line of a row with the wrong number of fields."""
     with open(path, encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().split("\n") if ln]
-    if not lines or lines[0] != ",".join(CSV_COLUMNS):
+        lines = [(n, ln) for n, ln in enumerate(fh.read().split("\n"), 1) if ln]
+    if not lines or lines[0][1] != ",".join(CSV_COLUMNS):
         raise ValueError("bad metrics CSV header")
     out = []
-    for ln in lines[1:]:
-        v = ln.split(",")
-        out.append(MetricsReport(
-            variant=v[0], kg_fraction=float(v[1]), seed=int(v[2]),
-            em_hop1=float(v[3]), em_context=float(v[4]), em_hop2=float(v[5]),
-            n_hop1=int(v[6]), n_context=int(v[7]), n_hop2=int(v[8]),
-            final_L=float(v[9]), final_Sim=float(v[10])))
+    for n, ln in lines[1:]:
+        values = ln.split(",")
+        if len(values) != len(CSV_COLUMNS):
+            raise ValueError(f"metrics CSV line {n} has {len(values)} fields, "
+                             f"expected {len(CSV_COLUMNS)}")
+        out.append(MetricsReport(*(tp(v) for tp, v in zip(_REPORT_TYPES.values(), values))))
     return out
 
 
-def _median(values: Sequence[float]) -> float:
-    return float(statistics.median(values))
+def _markdown_table(title: str, header: Sequence[str],
+                    rows: Iterable[Sequence[str]]) -> list[str]:
+    return [f"## {title}", "", "| " + " | ".join(header) + " |", "|" + "---|" * len(header),
+            *("| " + " | ".join(row) + " |" for row in rows), ""]
+
+
+def _median_table(title: str, key: str,
+                  groups: Iterable[tuple[str, Sequence[MetricsReport]]]) -> list[str]:
+    """One row per (label, reports) group: the median of each exact-match
+    rate across the group's seeds."""
+    ems = ("em_hop1", "em_context", "em_hop2")
+    return _markdown_table(
+        title, [key, *(f"median {m}" for m in ems), "seeds"],
+        ([label, *(f"{statistics.median([getattr(r, m) for r in rows]):.4f}" for m in ems),
+          str(len(rows))] for label, rows in groups))
 
 
 def render_markdown(reports: Sequence[MetricsReport]) -> str:
@@ -251,40 +269,13 @@ def render_markdown(reports: Sequence[MetricsReport]) -> str:
             sweep.setdefault(r.kg_fraction, []).append(r)
     variants_present = [v for v in VARIANTS if v in by_variant]
     if len(variants_present) > 1:
-        lines.append("## Ablation (KG input variants)")
-        lines.append("")
-        lines.append("| variant | median em_hop1 | median em_context | median em_hop2 | seeds |")
-        lines.append("|---|---|---|---|---|")
-        for v in variants_present:
-            rows = by_variant[v]
-            lines.append(f"| {v} | {_median([r.em_hop1 for r in rows]):.4f} "
-                         f"| {_median([r.em_context for r in rows]):.4f} "
-                         f"| {_median([r.em_hop2 for r in rows]):.4f} "
-                         f"| {len(rows)} |")
-        lines.append("")
+        lines += _median_table("Ablation (KG input variants)", "variant",
+                               [(v, by_variant[v]) for v in variants_present])
     if len(sweep) > 1:
-        lines.append("## KG scale sweep (variant both)")
-        lines.append("")
-        lines.append("| kg_fraction | median em_hop1 | median em_context | median em_hop2 | seeds |")
-        lines.append("|---|---|---|---|---|")
-        for f in sorted(sweep):
-            rows = sweep[f]
-            lines.append(f"| {f:.4f} | {_median([r.em_hop1 for r in rows]):.4f} "
-                         f"| {_median([r.em_context for r in rows]):.4f} "
-                         f"| {_median([r.em_hop2 for r in rows]):.4f} "
-                         f"| {len(rows)} |")
-        lines.append("")
-    lines.append("## All runs")
-    lines.append("")
-    lines.append("| " + " | ".join(CSV_COLUMNS) + " |")
-    lines.append("|" + "---|" * len(CSV_COLUMNS))
-    for r in reports:
-        lines.append("| " + " | ".join([
-            r.variant, f"{r.kg_fraction:.4f}", str(r.seed),
-            f"{r.em_hop1:.4f}", f"{r.em_context:.4f}", f"{r.em_hop2:.4f}",
-            str(r.n_hop1), str(r.n_context), str(r.n_hop2),
-            f"{r.final_L:.4f}", f"{r.final_Sim:.4f}"]) + " |")
-    lines.append("")
+        lines += _median_table("KG scale sweep (variant both)", "kg_fraction",
+                               [(f"{f:.4f}", sweep[f]) for f in sorted(sweep)])
+    lines += _markdown_table("All runs", CSV_COLUMNS,
+                             (_cells(r, _MARKDOWN_FORMATS) for r in reports))
     return "\n".join(lines)
 
 
@@ -293,10 +284,9 @@ def render_markdown(reports: Sequence[MetricsReport]) -> str:
 # ---------------------------------------------------------------------------
 
 def experiment_to_jsonable(exp: ExperimentConfig) -> dict:
-    d = dataclasses.asdict(exp)
-    d["kg_spec"]["occupations"] = list(d["kg_spec"]["occupations"])
-    d["split_ratios"] = list(d["split_ratios"])
-    return d
+    """``exp`` as nested dicts; tuple fields stay tuples, which ``json``
+    writes as arrays and ``experiment_from_jsonable`` accepts as they are."""
+    return dataclasses.asdict(exp)
 
 
 class ConfigError(ValueError):
@@ -308,9 +298,9 @@ class ConfigError(ValueError):
 def _from_jsonable(tp, value, path: str):
     """``value``, parsed from JSON, as the field type ``tp``.
 
-    Dataclasses come from objects, tuples from arrays and ``dict[str, X]``
-    from objects, element by element; an int is accepted as a float, a
-    bool is not accepted as an int."""
+    Dataclasses come from objects, tuples from arrays (or tuples) and
+    ``dict[str, X]`` from objects, element by element; an int is accepted
+    as a float, a bool is not accepted as an int."""
     if dataclasses.is_dataclass(tp):
         if not isinstance(value, dict):
             raise ConfigError(f"{path} is not an object")
@@ -333,7 +323,7 @@ def _from_jsonable(tp, value, path: str):
         (tp,) = [a for a in args if a is not type(None)]
         origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin is tuple:
-        if not isinstance(value, list):
+        if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{path} is not an array")
         types = [args[0]] * len(value) if args[-1] is Ellipsis else list(args)
         if len(types) != len(value):

@@ -248,9 +248,42 @@ def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-bound, bound, size=(fan_in, fan_out))
 
 
+def param_table(config: ModelConfig, kg_enabled: bool = True) -> dict[str, tuple]:
+    """name -> (init kind, *shape) of every parameter, in the order
+    ``ModelParams.init`` draws them; ``load_checkpoint`` checks shapes by it."""
+    d, dff = config.d_model, config.d_ff
+    shapes: dict[str, tuple] = {
+        "tok_emb": ("emb", config.vocab_size, d),
+        "out_proj": ("mat", d, config.vocab_size),
+        "enc_rel_bias": ("zeros", config.n_heads, 2 * config.max_len - 1),
+        "dec_rel_bias": ("zeros", config.n_heads, 2 * config.max_len - 1),
+        "enc_norm": ("ones", d), "dec_norm": ("ones", d),
+    }
+    for i in range(config.n_layers):
+        for pre, attn_names in ((f"enc{i}", ("attn",)), (f"dec{i}", ("self", "cross"))):
+            for a in attn_names:
+                shapes[f"{pre}.{a}.wq"] = ("mat", d, d)
+                shapes[f"{pre}.{a}.wk"] = ("mat", d, d)
+                shapes[f"{pre}.{a}.wv"] = ("mat", d, d)
+                shapes[f"{pre}.{a}.wo"] = ("mat", d, d)
+            shapes[f"{pre}.ffn.w1"] = ("mat", d, dff)
+            shapes[f"{pre}.ffn.w2"] = ("mat", dff, d)
+        shapes[f"enc{i}.ln1"] = ("ones", d)
+        shapes[f"enc{i}.ln2"] = ("ones", d)
+        shapes[f"dec{i}.ln1"] = ("ones", d)
+        shapes[f"dec{i}.ln2"] = ("ones", d)
+        shapes[f"dec{i}.ln3"] = ("ones", d)
+    if kg_enabled:
+        # scaled down so KG rows start near-silent and earn attention
+        # through gradients instead of perturbing early optimization
+        shapes["kg_proj"] = ("kg_mat", config.d_kg, d)
+        shapes["kg_type"] = ("kg_emb", 2, d)
+    return shapes
+
+
 class ModelParams:
-    """Named parameter tensors; each is initialized from (seed, name) so the
-    drawn values do not depend on which other parameters exist."""
+    """Named parameter tensors, one per ``param_table`` entry, each drawn
+    from (seed, name) so its values do not depend on which others exist."""
 
     def __init__(self, config: ModelConfig, tensors: dict[str, Tensor],
                  kg_enabled: bool = True):
@@ -273,35 +306,9 @@ class ModelParams:
 
     @classmethod
     def init(cls, config: ModelConfig, seed: int, kg_enabled: bool = True) -> "ModelParams":
-        d, dff = config.d_model, config.d_ff
-        shapes: dict[str, tuple] = {
-            "tok_emb": ("emb", config.vocab_size, d),
-            "out_proj": ("mat", d, config.vocab_size),
-            "enc_rel_bias": ("zeros", config.n_heads, 2 * config.max_len - 1),
-            "dec_rel_bias": ("zeros", config.n_heads, 2 * config.max_len - 1),
-            "enc_norm": ("ones", d), "dec_norm": ("ones", d),
-        }
-        for i in range(config.n_layers):
-            for pre, attn_names in ((f"enc{i}", ("attn",)), (f"dec{i}", ("self", "cross"))):
-                for a in attn_names:
-                    shapes[f"{pre}.{a}.wq"] = ("mat", d, d)
-                    shapes[f"{pre}.{a}.wk"] = ("mat", d, d)
-                    shapes[f"{pre}.{a}.wv"] = ("mat", d, d)
-                    shapes[f"{pre}.{a}.wo"] = ("mat", d, d)
-                shapes[f"{pre}.ffn.w1"] = ("mat", d, dff)
-                shapes[f"{pre}.ffn.w2"] = ("mat", dff, d)
-            shapes[f"enc{i}.ln1"] = ("ones", d)
-            shapes[f"enc{i}.ln2"] = ("ones", d)
-            shapes[f"dec{i}.ln1"] = ("ones", d)
-            shapes[f"dec{i}.ln2"] = ("ones", d)
-            shapes[f"dec{i}.ln3"] = ("ones", d)
-        if kg_enabled:
-            # scaled down so KG rows start near-silent and earn attention
-            # through gradients instead of perturbing early optimization
-            shapes["kg_proj"] = ("kg_mat", config.d_kg, d)
-            shapes["kg_type"] = ("kg_emb", 2, d)
+        d = config.d_model
         tensors: dict[str, Tensor] = {}
-        for name, spec in shapes.items():
+        for name, spec in param_table(config, kg_enabled).items():
             rng = np.random.default_rng(seed_seq(seed, "param", name))
             kind = spec[0]
             if kind == "mat":

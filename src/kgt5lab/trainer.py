@@ -32,8 +32,8 @@ from .embeddings import EmbeddingTable, seed_seq
 from .kg import KnowledgeGraph, atomic_write, link_mentions
 from .model import (AugmentedInput, BOS_ID, EOS_ID, EmptyCorpusError,
                     ModelConfig, ModelParams, PAD_ID, Vocabulary,
-                    build_augmented_input, forward, kg_row_tensors, span_corrupt,
-                    tokenize)
+                    build_augmented_input, forward, kg_row_tensors, param_table,
+                    span_corrupt, tokenize)
 
 CHECKPOINT_MAGIC = b"KGT5CKPT"
 CHECKPOINT_VERSION = 1
@@ -104,14 +104,14 @@ class TrainConfig:
     eval_every: int = 50
 
     def __post_init__(self):
-        if self.learning_rate < 0 or self.weight_decay < 0:
-            raise ValueError("learning_rate and weight_decay must be nonnegative")
+        if not all(0 <= x < math.inf for x in (self.learning_rate, self.weight_decay)):
+            raise ValueError("learning_rate and weight_decay must be finite and nonnegative")
         if self.batch_size < 1 or self.eval_every < 1:
             raise ValueError("batch_size and eval_every must be >= 1")
         if self.max_steps < 0:
             raise ValueError("max_steps must be >= 0")
-        if self.grad_clip_norm is not None and self.grad_clip_norm <= 0:
-            raise ValueError("grad_clip_norm must be positive or None")
+        if self.grad_clip_norm is not None and not 0 < self.grad_clip_norm < math.inf:
+            raise ValueError("grad_clip_norm must be finite and positive, or None")
 
 
 @dataclass
@@ -403,11 +403,6 @@ def finetune(params: ModelParams, dataset, kg: KnowledgeGraph,
 # little-endian float64 blobs in directory order; offsets are relative to the
 # start of the data section.
 
-def _expected_model_shapes(cfg: ModelConfig, kg_enabled: bool) -> dict[str, tuple[int, ...]]:
-    probe = ModelParams.init(cfg, seed=0, kg_enabled=kg_enabled)
-    return {name: t.data.shape for name, t in probe.tensors.items()}
-
-
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -512,7 +507,7 @@ def load_checkpoint(path) -> tuple[ModelParams, Optional[EmbeddingTable], dict]:
     data_start = pos + hdr_len
     model_cfg = _check_header(header)
     kg_enabled = header["kg_enabled"]
-    expected = _expected_model_shapes(model_cfg, kg_enabled)
+    expected = {name: spec[1:] for name, spec in param_table(model_cfg, kg_enabled).items()}
     known = {f"model.{name}" for name in expected}
     if header["has_embeddings"]:
         known |= {"kg.entity_vecs", "kg.relation_vecs"}

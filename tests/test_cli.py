@@ -1,13 +1,15 @@
 """CLI contract tests: subcommands, exit codes, output files."""
 
 import json
+import math
 from pathlib import Path
 
 import pytest
 
 from kgt5lab import data
 from kgt5lab.cli import main
-from kgt5lab.harness import emit_report, parse_report_csv, run_from_manifest
+from kgt5lab.harness import (CSV_COLUMNS, emit_report, parse_report_csv,
+                             run_from_manifest)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -58,7 +60,11 @@ class TestUsageErrors:
         ({"finetune": {"batch_size": "x"}}, "config.finetune.batch_size must be int"),
         ({"per_category": 3}, "config.per_category is not an object"),
         ({"transe": {"epochs": 2.5}}, "config.transe.epochs must be int"),
-    ], ids=["unknown-key", "list", "str-for-int", "int-for-object", "float-for-int"])
+        # written as Infinity, read back as inf, as 1e400 would be
+        ({"transe": {"learning_rate": math.inf}},
+         "learning_rate and init_scale must be finite"),
+    ], ids=["unknown-key", "list", "str-for-int", "int-for-object", "float-for-int",
+            "non-finite"])
     def test_bad_config_exits_1_naming_the_key(self, tmp_path, capsys, config, message):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(config))
@@ -66,6 +72,13 @@ class TestUsageErrors:
                      "--out", str(tmp_path / "ab")]) == 1
         assert message in capsys.readouterr().err
         assert not (tmp_path / "ab").exists()
+
+    def test_report_of_a_short_row_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "m.csv"
+        path.write_text(",".join(CSV_COLUMNS) + "\nboth,1,0,0,0,0,1,1,1,0.5\n")
+        assert main(["report", "--metrics", str(path), "--out", str(tmp_path / "r.md")]) == 1
+        assert "line 2 has 10 fields, expected 11" in capsys.readouterr().err
+        assert not (tmp_path / "r.md").exists()
 
 
 class TestGenPipeline:
@@ -91,6 +104,16 @@ class TestGenPipeline:
         assert main(["train-embed", "--kg", str(kg_dir / "kg.tsv"), "--dim", "8",
                      "--epochs", "3", "--out", str(emb_dir)]) == 0
         assert (emb_dir / "embeddings.kge").exists()
+
+    @pytest.mark.parametrize("lr", ["inf", "nan"])
+    def test_train_embed_non_finite_lr_exits_1(self, tmp_path, capsys, lr):
+        kg_dir = tmp_path / "kg"
+        assert main(["gen-kg", "--people", "10", "--cities", "4",
+                     "--countries", "2", "--out", str(kg_dir)]) == 0
+        assert main(["train-embed", "--kg", str(kg_dir / "kg.tsv"), "--lr", lr,
+                     "--out", str(tmp_path / "emb")]) == 1
+        assert "learning_rate and init_scale must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "emb").exists()
 
     def test_gen_qa_infeasible_count_exits_1(self, tmp_path, capsys):
         kg_dir = tmp_path / "kg"

@@ -90,6 +90,14 @@ class TestCosineSim:
 
 
 class TestTrainKgEmbeddings:
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("name", ["margin", "learning_rate", "init_scale"])
+    def test_config_rejects_non_finite_values(self, name, value):
+        # an infinite rate or margin trained to NaN rows that ranked every
+        # test triple first
+        with pytest.raises(ValueError, match="must be finite and positive"):
+            TransEConfig(**{name: value})
+
     def test_loss_decreases_on_chain(self):
         g = chain_graph(50, 2)
         cfg = TransEConfig(epochs=50, seed=3)

@@ -2,9 +2,13 @@
 
 import hashlib
 import json
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgt5lab import harness, model
 from kgt5lab.data import SyntheticKGSpec
@@ -153,6 +157,10 @@ def criterion8_experiment():
         decode_steps=3)
 
 
+FLOATS = st.floats(allow_nan=False)
+COUNTS = st.integers(0, 10**9)
+
+
 def make_reports():
     rows = []
     for seed in (1, 2):
@@ -178,6 +186,34 @@ class TestEmitReport:
         emit_report(parsed, "csv", p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.builds(
+        MetricsReport, variant=st.sampled_from(VARIANTS), kg_fraction=FLOATS,
+        seed=st.integers(-2**63, 2**63), em_hop1=FLOATS, em_context=FLOATS,
+        em_hop2=FLOATS, n_hop1=COUNTS, n_context=COUNTS, n_hop2=COUNTS,
+        final_L=FLOATS, final_Sim=FLOATS), min_size=1, max_size=4))
+    def test_csv_round_trip_on_random_rows(self, reports):
+        with tempfile.TemporaryDirectory() as tmp:
+            p1, p2 = Path(tmp) / "m.csv", Path(tmp) / "m2.csv"
+            emit_report(reports, "csv", p1)
+            parsed = parse_report_csv(p1)
+            assert parsed == reports
+            emit_report(parsed, "csv", p2)
+            assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("edit, fields", [
+        (lambda line: line + ",7", 12),
+        (lambda line: line.rpartition(",")[0], 10),
+    ], ids=["extra-field", "missing-field"])
+    def test_row_with_wrong_field_count_raises_naming_the_line(self, tmp_path, edit, fields):
+        path = tmp_path / "m.csv"
+        emit_report(make_reports(), "csv", path)
+        lines = path.read_text().splitlines()
+        lines[3] = edit(lines[3])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"line 4 has {fields} fields, expected 11"):
+            parse_report_csv(path)
+
     def test_markdown_has_variant_row_labels(self, tmp_path):
         md = render_markdown(make_reports())
         for label in ("none", "entity", "relation", "both"):
@@ -186,6 +222,9 @@ class TestEmitReport:
     def test_markdown_floats_have_four_decimals(self):
         md = render_markdown(make_reports())
         assert "0.3333" in md
+        # by the field's declared type: a fraction read from JSON as 1 too
+        md = render_markdown([replace(make_reports()[0], kg_fraction=1)])
+        assert "| none | 1.0000 | 1 |" in md
 
     def test_empty_reports_error_no_file(self, tmp_path):
         path = tmp_path / "never.csv"

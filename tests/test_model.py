@@ -638,34 +638,3 @@ class TestWindowDecode:
         with Tape():
             with pytest.raises(ShapeMismatchError):
                 greedy_decode(params, enc, 4)
-
-
-class TestFullModelGradCheck:
-    def test_tiny_model_all_parameters(self):
-        # d_model=16, 1 layer, every parameter coordinate, threshold 1e-4
-        cfg = ModelConfig(vocab_size=45, d_model=16, n_layers=1, n_heads=2,
-                          d_ff=24, dropout_p=0.0, max_len=16, d_kg=6)
-        params = ModelParams.init(cfg, seed=3)
-        rng = np.random.default_rng(4)
-        emb = EmbeddingTable(6, rng.normal(size=(5, 6)), rng.normal(size=(2, 6)))
-        aug = AugmentedInput([40, 41, 42], [1, 3], [0], "both")
-        target = [43, 44, EOS_ID]
-
-        def loss_with(name, w):
-            saved = params.tensors[name]
-            params.tensors[name] = w
-            try:
-                enc = build_augmented_input(aug, emb, params)
-                return cross_entropy_mean(
-                    forward(params, enc, [BOS_ID, 43, 44], train_mode=False,
-                            seed=0), target)
-            finally:
-                params.tensors[name] = w  # keep under check until restored
-
-        worst = {}
-        for name in params.names():
-            w = params.tensors[name]
-            err = grad_check(lambda t: loss_with(name, t), w)
-            params.tensors[name] = w
-            worst[name] = err
-            assert err < 1e-4, (name, err)

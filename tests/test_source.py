@@ -63,7 +63,8 @@ def referenced_names(tree):
 
 
 def test_every_def_is_referenced():
-    # a def that nothing in src/, tests/ or perfbench/ names is dead code
+    # a def or class, at module level or nested, that nothing in src/,
+    # tests/ or perfbench/ names is dead code
     used = Counter()
     for folder in ("src", "tests", "perfbench"):
         for path in (REPO_DIR / folder).rglob("*.py"):
@@ -71,7 +72,7 @@ def test_every_def_is_referenced():
     unreferenced = []
     for path in sorted(PACKAGE_DIR.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
                     and not (node.name.startswith("__") and node.name.endswith("__"))
                     and not used[node.name]):
                 unreferenced.append(f"{path.name}:{node.lineno} {node.name}")

@@ -245,6 +245,18 @@ class TestPackedStep:
         assert_step_parity(packed, reference)
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("name, message", [
+        ("learning_rate", "learning_rate and weight_decay must be finite and nonnegative"),
+        ("weight_decay", "learning_rate and weight_decay must be finite and nonnegative"),
+        ("grad_clip_norm", "grad_clip_norm must be finite and positive, or None"),
+    ], ids=["learning_rate", "weight_decay", "grad_clip_norm"])
+    def test_rejects_non_finite_values(self, name, message, value):
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(**{name: value})
+
+
 class TestNonFiniteTraining:
     def poisoned(self, vocab):
         _, params = tiny_model(vocab)
@@ -592,6 +604,21 @@ class TestCheckpoint:
             save_checkpoint(params, emb, configs, path)
         assert path.read_bytes() == before
         assert list(tmp_path.iterdir()) == [path]
+
+    def test_load_draws_no_random_weights(self, tmp_path, monkeypatch):
+        # shapes come from the parameter table, not from a model drawn to
+        # learn them
+        params, emb, configs = self.roundtrip_setup()
+        path = tmp_path / "x.ckpt"
+        save_checkpoint(params, emb, configs, path)
+
+        def draw(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew random weights")
+
+        monkeypatch.setattr(ModelParams, "init", draw)
+        monkeypatch.setattr(np.random, "default_rng", draw)
+        loaded, _, _ = load_checkpoint(path)
+        assert loaded.names() == params.names()
 
     def test_bad_magic(self, tmp_path):
         params, emb, configs = self.roundtrip_setup()
